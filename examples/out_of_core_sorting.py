@@ -12,10 +12,7 @@ the working set is the merge buffers, not the data:
 
     REPRO_OOC_RECORDS=500000000 python examples/out_of_core_sorting.py
 
-sorts 4 GB of keys under a 1.5 GB heap limit.  ``REPRO_OOC_WORKERS=4``
-additionally drains each merge through the process-parallel Merge Path
-plane (bit- and schedule-identical to the serial loser tree;
-wall-clock gains need real cores).
+sorts 4 GB of keys under a 1.5 GB heap limit.
 """
 
 import os
@@ -29,12 +26,10 @@ from repro import SRMConfig, srm_sort
 from repro.verify import is_sorted
 
 N = int(os.environ.get("REPRO_OOC_RECORDS", 400_000))
-WORKERS = int(os.environ.get("REPRO_OOC_WORKERS", "1"))
 #: Streaming mode threshold and its anonymous-memory cap.
 BIG = 10_000_000
 HEAP_CAP = int(os.environ.get("REPRO_OOC_HEAP_CAP", 1_500_000_000))
 
-merge_workers = WORKERS if WORKERS > 1 else None
 input_bytes = N * 8
 
 
@@ -44,8 +39,7 @@ def small_demo() -> None:
     rng = np.random.default_rng(7)
     keys = rng.integers(-(2**62), 2**62, N)
     t0 = time.perf_counter()
-    out, res = srm_sort(keys, cfg, rng=1, backend="mmap",
-                        merge_workers=merge_workers)
+    out, res = srm_sort(keys, cfg, rng=1, backend="mmap")
     wall = time.perf_counter() - t0
     assert is_sorted(out)
     stats = res.system.backend.stats()
@@ -92,8 +86,7 @@ def big_demo() -> None:
         gen_s = time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        res = srm_mergesort(system, infile, cfg, rng=1,
-                            merge_workers=merge_workers)
+        res = srm_mergesort(system, infile, cfg, rng=1)
         sort_s = time.perf_counter() - t0
 
         # Bounded-memory verification: one stripe of blocks at a time.

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..disks.block import Block, split_into_blocks
+from ..disks.block import Block, as_int64_records, split_into_blocks
 from ..disks.counters import IOStats
 from ..disks.files import StripedFile
 from ..disks.system import BlockAddress, ParallelDiskSystem
@@ -496,30 +496,38 @@ def dsm_sort(
     out-of-core side by side with SRM.  *timing* attaches a disk
     service-time model so the demand clock (and the causal trace, when
     the telemetry handle carries one) advances; DSM stays demand-paced
-    either way.
+    either way.  Keys and payloads must be integers that fit in int64.
+    If the sort raises, the fresh system is closed before the error
+    propagates.
     """
-    keys = np.asarray(keys, dtype=np.int64)
+    keys = as_int64_records(keys)
+    if payloads is not None:
+        payloads = as_int64_records(payloads, "payloads")
     if keys.size == 0:
         return keys.copy(), None  # type: ignore[return-value]
     system = ParallelDiskSystem(config.n_disks, config.block_size, backend=backend)
-    if faults is not None:
-        system.attach_faults(faults, telemetry=telemetry)
-    collector = getattr(telemetry, "trace", None)
-    demand_tracer = None
-    if collector is not None:
-        from ..disks.timing import DISK_1996
-        from ..telemetry.trace import SystemTracer
+    try:
+        if faults is not None:
+            system.attach_faults(faults, telemetry=telemetry)
+        collector = getattr(telemetry, "trace", None)
+        demand_tracer = None
+        if collector is not None:
+            from ..disks.timing import DISK_1996
+            from ..telemetry.trace import SystemTracer
 
-        if system.timing is None:
-            system.timing = timing if timing is not None else DISK_1996
-        demand_tracer = SystemTracer(collector, collector.new_domain("demand"))
-        system.tracer = demand_tracer
-    elif timing is not None and system.timing is None:
-        system.timing = timing
-    infile = StripedFile.from_records(system, keys, payloads=payloads)
-    result = dsm_mergesort(
-        system, infile, config, run_length=run_length, telemetry=telemetry
-    )
-    if demand_tracer is not None:
-        demand_tracer.finish(system.elapsed_ms)
-    return result.peek_sorted(system), result
+            if system.timing is None:
+                system.timing = timing if timing is not None else DISK_1996
+            demand_tracer = SystemTracer(collector, collector.new_domain("demand"))
+            system.tracer = demand_tracer
+        elif timing is not None and system.timing is None:
+            system.timing = timing
+        infile = StripedFile.from_records(system, keys, payloads=payloads)
+        result = dsm_mergesort(
+            system, infile, config, run_length=run_length, telemetry=telemetry
+        )
+        if demand_tracer is not None:
+            demand_tracer.finish(system.elapsed_ms)
+        return result.peek_sorted(system), result
+    except BaseException:
+        system.close()
+        raise

@@ -16,9 +16,6 @@ implementations and *proves equivalence while doing so*:
 * **backend** — the same sort on the in-RAM dict backend vs. the
   mmap slot-record backend at pinned layout rng; identical charged
   I/O is asserted, so the delta prices the storage layer alone.
-* **parallel_merge** — serial loser-tree drain vs. the
-  process-parallel Merge Path plane at W=1,2,4; bit-identical output
-  and ParRead/flush schedule asserted on every row.
 
 Results land in a JSON report (default ``BENCH_sort_throughput.json``)
 with records/second, wall-clock, heap cycles, and speedups.
@@ -28,7 +25,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from typing import Any, Callable
@@ -39,7 +35,7 @@ from .core import SRMConfig, srm_sort
 from .core.layout import LayoutStrategy
 from .core.run_formation import form_runs_replacement_selection
 from .core.writer import RunWriter
-from .disks.files import StripedFile, StripedRun
+from .disks.files import StripedFile
 from .disks.system import ParallelDiskSystem
 from .errors import DataError
 from .telemetry import Telemetry
@@ -59,7 +55,6 @@ QUICK = {
     "rs_records": 30_000,
     "rs_memory": 10_000,
     "writer_records": 200_000,
-    "pmerge_records": 120_000,
     "adaptive_records": 12_000,
 }
 FULL = {
@@ -67,7 +62,6 @@ FULL = {
     "rs_records": 300_000,
     "rs_memory": 100_000,
     "writer_records": 2_000_000,
-    "pmerge_records": 1_600_000,
     "adaptive_records": 40_000,
 }
 
@@ -523,90 +517,6 @@ def bench_backend(n_records: int, k: int = 4, n_disks: int = 4,
     }
 
 
-def bench_parallel_merge(n_records: int, worker_counts: tuple[int, ...] = (1, 2, 4),
-                         n_runs: int = 16, n_disks: int = 8,
-                         block_size: int = 512, seed: int = 3) -> dict:
-    """Serial loser-tree drain vs. the process-parallel Merge Path plane.
-
-    One R-way merge of pre-built runs, timed once serially and once per
-    worker count.  Every parallel row must reproduce the serial plane
-    exactly — output records, ScheduleStats, disk-system I/O counters —
-    so the speedup column prices pure record movement, not a schedule
-    change.
-
-    The report records ``cpu_count``: worker processes need real cores
-    to pay off, so on a single-core host every W > 1 row measures pure
-    pool overhead and the speedup column reads below 1.  The identity
-    assertions hold regardless.
-    """
-    from .core.merge import merge_runs
-    from .core.parallel_merge import parallel_merge_runs
-    from .disks.backends import MmapFileBackend
-
-    per_run = n_records // n_runs
-
-    def build(system):
-        rng = np.random.default_rng(seed)
-        return [
-            StripedRun.from_sorted_keys(
-                system,
-                np.sort(rng.integers(-(2**60), 2**60, per_run)),
-                run_id=r,
-                start_disk=r % system.n_disks,
-            )
-            for r in range(n_runs)
-        ]
-
-    sys_s = ParallelDiskSystem(n_disks, block_size)
-    runs_s = build(sys_s)
-    before = sys_s.stats.snapshot()
-    wall_s, res_s = _time(
-        lambda: merge_runs(sys_s, runs_s, output_run_id=99, output_start_disk=0)
-    )
-    sched_ref = _schedule_tuple(res_s.schedule)
-    io_ref = _io_tuple(sys_s.stats.since(before))
-    keys_ref = res_s.output.read_all(sys_s)
-    out: dict[str, Any] = {
-        "serial": {
-            "wall_s": round(wall_s, 6),
-            "records_per_sec": round(n_records / wall_s),
-        },
-        "workers": [],
-    }
-    for w in worker_counts:
-        sys_p = ParallelDiskSystem(
-            n_disks, block_size, backend=MmapFileBackend()
-        )
-        runs_p = build(sys_p)
-        before = sys_p.stats.snapshot()
-        wall_w, res_p = _time(
-            lambda s=sys_p, r=runs_p, w=w: parallel_merge_runs(
-                s, r, output_run_id=99, output_start_disk=0, workers=w
-            )
-        )
-        if _schedule_tuple(res_p.schedule) != sched_ref:
-            raise DataError(f"parallel W={w}: ParRead/flush schedule differs")
-        if _io_tuple(sys_p.stats.since(before)) != io_ref:
-            raise DataError(f"parallel W={w}: I/O counters differ")
-        if not np.array_equal(res_p.output.read_all(sys_p), keys_ref):
-            raise DataError(f"parallel W={w}: output records differ")
-        sys_p.close()
-        out["workers"].append({
-            "workers": w,
-            "wall_s": round(wall_w, 6),
-            "records_per_sec": round(n_records / wall_w),
-            "speedup_vs_serial": round(wall_s / wall_w, 3),
-        })
-    out["schedule_identical"] = True  # asserted above, every row
-    out["cpu_count"] = os.cpu_count()
-    out["params"] = {
-        "n_records": per_run * n_runs, "n_runs": n_runs,
-        "n_disks": n_disks, "block_size": block_size, "seed": seed,
-        "worker_counts": list(worker_counts),
-    }
-    return out
-
-
 def bench_service(n_jobs: int = 8, tenant_counts: tuple[int, ...] = (2, 3),
                   policies: tuple[str, ...] = ("rr", "wfq", "srpt"),
                   k: int = 2, n_disks: int = 4, block_size: int = 16,
@@ -787,7 +697,6 @@ def run_benchmarks(quick: bool = False) -> dict:
         "tracing": bench_tracing(scale["merge_records"]),
         "faults": bench_faults(scale["merge_records"]),
         "backend": bench_backend(scale["merge_records"]),
-        "parallel_merge": bench_parallel_merge(scale["pmerge_records"]),
         "cluster": bench_cluster(
             scale["merge_records"],
             node_counts=(1, 2, 4) if quick else (1, 2, 4, 8),
@@ -815,9 +724,6 @@ def main(argv: list[str] | None = None) -> int:
                    help="fail unless losertree/heapq >= this ratio")
     p.add_argument("--min-rs-speedup", type=float, default=None,
                    help="fail unless block/record >= this ratio")
-    p.add_argument("--min-pmerge-speedup", type=float, default=None,
-                   help="fail unless the best parallel-merge worker row "
-                        "reaches this speedup over the serial drain")
     args = p.parse_args(argv)
 
     report = run_benchmarks(quick=args.quick)
@@ -852,12 +758,6 @@ def main(argv: list[str] | None = None) -> int:
     print(f"backend        mmap {be['mmap']['records_per_sec']:>10,} rec/s"
           f"  memory {be['memory']['records_per_sec']:>10,} rec/s"
           f"  overhead {be['mmap_overhead_frac']*100:+.1f}%")
-    pm = report["parallel_merge"]
-    for row in pm["workers"]:
-        print(f"pmerge W={row['workers']:<3} {row['records_per_sec']:>10,} rec/s"
-              f"  speedup {row['speedup_vs_serial']:.2f}x vs serial"
-              f" ({pm['serial']['records_per_sec']:,} rec/s,"
-              f" {pm['cpu_count']} cores)")
     for row in report["cluster"]["rows"]:
         print(f"cluster P={row['n_nodes']:<2}  makespan "
               f"{row['makespan_ms']:>10,.0f} ms"
@@ -888,10 +788,4 @@ def main(argv: list[str] | None = None) -> int:
         print(f"FAIL: run-formation speedup {rs['speedup']} < {args.min_rs_speedup}",
               file=sys.stderr)
         ok = False
-    if args.min_pmerge_speedup is not None:
-        best = max(r["speedup_vs_serial"] for r in pm["workers"])
-        if best < args.min_pmerge_speedup:
-            print(f"FAIL: parallel-merge speedup {best} < "
-                  f"{args.min_pmerge_speedup}", file=sys.stderr)
-            ok = False
     return 0 if ok else 1

@@ -114,12 +114,6 @@ def _cmd_sort(args: argparse.Namespace) -> int:
             print("error: --workdir requires --backend mmap", file=sys.stderr)
             return 2
         backend = f"mmap:{args.workdir}"
-    if args.workers > 1 and args.backend != "mmap":
-        print("error: --workers > 1 requires --backend mmap "
-              "(worker processes share the backend's disk files)",
-              file=sys.stderr)
-        return 2
-    merge_workers = args.workers if args.workers > 1 else None
     overlap = None
     if args.overlap is not None:
         overlap = OverlapConfig(
@@ -149,7 +143,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
         cfg = SRMConfig.from_k(args.k, args.disks, args.block)
         out, res = srm_sort(
             keys, cfg, rng=args.seed, overlap=overlap, telemetry=telemetry,
-            backend=backend, merge_workers=merge_workers,
+            backend=backend,
         )
         name = "SRM"
     dt = time.perf_counter() - t0
@@ -171,8 +165,7 @@ def _cmd_sort(args: argparse.Namespace) -> int:
         print(f"  backend: {bs['kind']} at {bs.get('workdir')} — "
               f"{bs.get('file_bytes', 0) / 1e6:.1f} MB of slot files, "
               f"{bs.get('blocks_written', 0)} blocks written, "
-              f"{bs.get('blocks_read', 0)} read"
-              + (f", merge workers: {args.workers}" if merge_workers else ""))
+              f"{bs.get('blocks_read', 0)} read")
     if args.trace is not None and telemetry is not None:
         col = telemetry.trace
         print(f"  trace: {col.emitted} records emitted "
@@ -625,10 +618,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="directory for the mmap backend's disk files "
                         "(default: self-cleaning temp dir; explicit dirs "
                         "are kept)")
-    s.add_argument("--workers", type=int, default=1, metavar="W",
-                   help="process-parallel Merge Path drain width for SRM "
-                        "merges (>1 requires --backend mmap; default 1 = "
-                        "serial data plane)")
     s.add_argument("--telemetry", metavar="PATH", default=None,
                    help="capture a structured JSONL trace to PATH "
                    "(render it with 'repro inspect PATH')")

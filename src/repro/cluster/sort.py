@@ -40,6 +40,7 @@ from ..core.layout import LayoutStrategy
 from ..core.mergesort import SortResult, run_merge_passes
 from ..core.run_formation import form_runs_load_sort
 from ..disks.backends import StorageBackend, parse_backend
+from ..disks.block import as_int64_records
 from ..disks.counters import IOStats
 from ..disks.files import StripedFile, StripedRun
 from ..disks.system import ParallelDiskSystem
@@ -202,9 +203,10 @@ def cluster_sort(
     recovery I/O charged.  *backend* is a storage-backend spec (string
     or :class:`~repro.disks.backends.BackendSpec`) applied to every
     node's disk array; with an explicit mmap workdir each node's files
-    land under its own ``node<n>/`` subdirectory.
+    land under its own ``node<n>/`` subdirectory.  Keys must be integers
+    that fit in int64.
     """
-    keys = np.asarray(keys, dtype=np.int64)
+    keys = as_int64_records(keys)
     P = cluster.n_nodes
     backend_spec = parse_backend(backend)
     if isinstance(backend_spec, StorageBackend):

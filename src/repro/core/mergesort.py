@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..disks.block import as_int64_records
 from ..disks.counters import IOStats
 from ..disks.files import StripedFile, StripedRun
 from ..disks.system import ParallelDiskSystem
@@ -120,7 +121,6 @@ def run_merge_passes(
     merger: str = "auto",
     telemetry=None,
     next_run_id: int | None = None,
-    merge_workers: int | None = None,
 ) -> StripedRun:
     """Merge *runs* down to a single run with ``ceil(log_R)`` passes.
 
@@ -130,23 +130,8 @@ def run_merge_passes(
     (``PassStats``, schedules, heap cycles, overlap reports) accumulates
     into *result*; the final single run is returned.  A one-run input
     returns immediately with no I/O.
-
-    ``merge_workers`` > 1 routes every merge through the
-    process-parallel Merge Path plane
-    (:func:`~repro.core.parallel_merge.parallel_merge_runs`) instead of
-    the serial data plane — same ParRead/flush schedule, same output,
-    W-way multi-core drain.  Incompatible with *overlap*/*prefetch*
-    (those pace the serial plane's cycle loop).
     """
     gen = ensure_rng(rng)
-    parallel_workers = merge_workers if merge_workers and merge_workers > 1 else None
-    if parallel_workers is not None and (overlap is not None or prefetch):
-        raise ConfigError(
-            "merge_workers > 1 cannot be combined with the overlap engine "
-            "or eager prefetch — the parallel plane has no cycle loop to pace"
-        )
-    if parallel_workers is not None:
-        from .parallel_merge import parallel_merge_runs
     tel = telemetry if telemetry is not None else TELEMETRY_OFF
     R = config.merge_order
     if next_run_id is None:
@@ -174,29 +159,18 @@ def run_merge_passes(
                 out_runs.append(group[0])
                 continue
             before = acct.snapshot()
-            if parallel_workers is not None:
-                mres = parallel_merge_runs(
-                    system,
-                    group,
-                    output_run_id=next_run_id,
-                    output_start_disk=int(starts[g]),
-                    workers=parallel_workers,
-                    validate=validate,
-                    telemetry=telemetry,
-                )
-            else:
-                mres = merge_runs(
-                    system,
-                    group,
-                    output_run_id=next_run_id,
-                    output_start_disk=int(starts[g]),
-                    validate=validate,
-                    prefetch=prefetch,
-                    overlap=overlap,
-                    timing=timing,
-                    merger=merger,
-                    telemetry=telemetry,
-                )
+            mres = merge_runs(
+                system,
+                group,
+                output_run_id=next_run_id,
+                output_start_disk=int(starts[g]),
+                validate=validate,
+                prefetch=prefetch,
+                overlap=overlap,
+                timing=timing,
+                merger=merger,
+                telemetry=telemetry,
+            )
             next_run_id += 1
             delta = acct.since(before)
             reads += delta.parallel_reads
@@ -246,7 +220,6 @@ def srm_mergesort(
     timing: DiskTimingModel | None = None,
     merger: str = "auto",
     telemetry=None,
-    merge_workers: int | None = None,
 ) -> SortResult:
     """Sort *infile* on *system* with SRM; returns the sorted run + stats.
 
@@ -336,7 +309,6 @@ def srm_mergesort(
         timing=timing,
         merger=merger,
         telemetry=telemetry,
-        merge_workers=merge_workers,
     )
     if system.faults is not None and system.faults.plan.torn_write_p > 0.0:
         # Final-pass blocks are never re-read through the fault-aware
@@ -405,7 +377,6 @@ def sort_records_on_system(
     timing: DiskTimingModel | None = None,
     merger: str = "auto",
     telemetry=None,
-    merge_workers: int | None = None,
 ) -> SortResult:
     """Install *keys* as an input file on *system* and sort them.
 
@@ -414,9 +385,12 @@ def sort_records_on_system(
     multi-tenant service's *shared* farm, where many of these drivers
     interleave one parallel-I/O round at a time (gated through
     ``system.round_hook``).  Input installation charges no I/O; all
-    accounting starts at the first ``ParRead``.
+    accounting starts at the first ``ParRead``.  Keys and payloads must
+    be integers that fit in int64 (:func:`~repro.disks.block.as_int64_records`).
     """
-    keys = np.asarray(keys, dtype=np.int64)
+    keys = as_int64_records(keys)
+    if payloads is not None:
+        payloads = as_int64_records(payloads, "payloads")
     infile = StripedFile.from_records(system, keys, payloads=payloads)
     return srm_mergesort(
         system,
@@ -431,7 +405,6 @@ def sort_records_on_system(
         timing=timing,
         merger=merger,
         telemetry=telemetry,
-        merge_workers=merge_workers,
     )
 
 
@@ -450,7 +423,6 @@ def srm_sort(
     telemetry=None,
     faults=None,
     backend=None,
-    merge_workers: int | None = None,
 ) -> tuple[np.ndarray, SortResult]:
     """Convenience: sort a key array on a fresh simulated disk system.
 
@@ -462,45 +434,50 @@ def srm_sort(
     injection on the fresh system before any block is placed.
     *backend* selects the block-storage backend of the fresh system
     (see :mod:`repro.disks.backends`); ``"mmap"`` keeps the data on
-    disk files so inputs can exceed RAM.  *merge_workers* > 1 drains
-    every merge through the process-parallel Merge Path plane
-    (:mod:`repro.core.parallel_merge`; requires the mmap backend).
+    disk files so inputs can exceed RAM.  Keys and payloads must be
+    integers that fit in int64; anything else raises
+    :class:`~repro.errors.DataError`.  If the sort raises, the fresh
+    system is closed before the error propagates, so an mmap backend's
+    scratch directory never outlives the call.
     """
-    keys = np.asarray(keys, dtype=np.int64)
+    keys = as_int64_records(keys)
     if keys.size == 0:
         return keys.copy(), None  # type: ignore[return-value]
     system = ParallelDiskSystem(config.n_disks, config.block_size, backend=backend)
-    if faults is not None:
-        system.attach_faults(faults, telemetry=telemetry)
-    collector = getattr(telemetry, "trace", None)
-    demand_tracer = None
-    if collector is not None and overlap is None:
-        # Demand-paced sorts advance one serial system clock; arm it
-        # (and a timing model, without which it never moves) so the
-        # trace tiles [0, elapsed_ms] on the channel lane.
-        from ..disks.timing import DISK_1996
-        from ..telemetry.trace import SystemTracer
+    try:
+        if faults is not None:
+            system.attach_faults(faults, telemetry=telemetry)
+        collector = getattr(telemetry, "trace", None)
+        demand_tracer = None
+        if collector is not None and overlap is None:
+            # Demand-paced sorts advance one serial system clock; arm it
+            # (and a timing model, without which it never moves) so the
+            # trace tiles [0, elapsed_ms] on the channel lane.
+            from ..disks.timing import DISK_1996
+            from ..telemetry.trace import SystemTracer
 
-        if system.timing is None:
-            system.timing = timing if timing is not None else DISK_1996
-        demand_tracer = SystemTracer(collector, collector.new_domain("demand"))
-        system.tracer = demand_tracer
-    result = sort_records_on_system(
-        system,
-        keys,
-        config,
-        strategy=strategy,
-        rng=rng,
-        validate=validate,
-        run_length=run_length,
-        formation=formation,
-        payloads=payloads,
-        overlap=overlap,
-        timing=timing,
-        merger=merger,
-        telemetry=telemetry,
-        merge_workers=merge_workers,
-    )
-    if demand_tracer is not None:
-        demand_tracer.finish(system.elapsed_ms)
-    return result.peek_sorted(system), result
+            if system.timing is None:
+                system.timing = timing if timing is not None else DISK_1996
+            demand_tracer = SystemTracer(collector, collector.new_domain("demand"))
+            system.tracer = demand_tracer
+        result = sort_records_on_system(
+            system,
+            keys,
+            config,
+            strategy=strategy,
+            rng=rng,
+            validate=validate,
+            run_length=run_length,
+            formation=formation,
+            payloads=payloads,
+            overlap=overlap,
+            timing=timing,
+            merger=merger,
+            telemetry=telemetry,
+        )
+        if demand_tracer is not None:
+            demand_tracer.finish(system.elapsed_ms)
+        return result.peek_sorted(system), result
+    except BaseException:
+        system.close()
+        raise

@@ -22,7 +22,7 @@ from .base import (
     parse_backend,
 )
 from .memory import MemoryBackend
-from .mmapfile import MmapDiskStore, MmapFileBackend, SlotLayout, open_disk_flat
+from .mmapfile import MmapDiskStore, MmapFileBackend, SlotLayout
 
 __all__ = [
     "BackendSpec",
@@ -32,7 +32,6 @@ __all__ = [
     "MmapFileBackend",
     "MmapDiskStore",
     "SlotLayout",
-    "open_disk_flat",
     "make_backend",
     "parse_backend",
 ]

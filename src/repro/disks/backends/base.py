@@ -13,8 +13,7 @@ Two backends ship:
   the historical in-RAM behavior and the default.
 * :class:`~repro.disks.backends.mmapfile.MmapFileBackend` — one
   preallocated file per disk, slots as fixed-size records, blocks read
-  back as zero-copy ``np.memmap`` views.  Sorts can exceed RAM, and
-  worker processes can reopen the same files for parallel merging.
+  back as zero-copy ``np.memmap`` views.  Sorts can exceed RAM.
 
 Backends are *geometry-lazy*: construct one with its own options, then
 the :class:`~repro.disks.system.ParallelDiskSystem` calls

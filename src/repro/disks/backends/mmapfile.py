@@ -30,11 +30,6 @@ hand back **zero-copy** ``np.memmap`` views in ``Block.keys`` /
 ``Block.payloads`` — the safe pattern throughout this repo, because
 every merge plane copies records into the writer ring before the source
 slot can be freed and reused.
-
-Because slots live at deterministic file offsets, worker processes can
-reopen the same files read-only (:func:`open_disk_flat`) and gather run
-segments without any block pickling — the transport of the
-process-parallel merge plane (:mod:`repro.core.parallel_merge`).
 """
 
 from __future__ import annotations
@@ -63,7 +58,7 @@ _NOKEY_MASK_WORD = 6
 
 @dataclass(frozen=True)
 class SlotLayout:
-    """Geometry of one slot record (picklable; shipped to workers)."""
+    """Geometry of one slot record."""
 
     n_disks: int
     block_size: int
@@ -90,36 +85,6 @@ class SlotLayout:
             key_off=key_off,
             pay_off=pay_off,
         )
-
-    # -- worker-side decoding (flat read-only maps) ----------------------
-
-    def slot_base(self, slot: int) -> int:
-        return slot * self.slot_words
-
-    def keys_of(self, flat: np.ndarray, slot: int) -> np.ndarray:
-        """Key view of *slot* in a flat per-disk map (zero copy)."""
-        base = self.slot_base(slot)
-        n = int(flat[base])
-        return flat[base + self.key_off : base + self.key_off + n]
-
-    def payloads_of(self, flat: np.ndarray, slot: int) -> np.ndarray | None:
-        base = self.slot_base(slot)
-        if not int(flat[base + 4]) & FLAG_PAYLOADS:
-            return None
-        n = int(flat[base])
-        return flat[base + self.pay_off : base + self.pay_off + n]
-
-
-def open_disk_flat(path: str) -> np.ndarray:
-    """Reopen a disk file as a flat read-only int64 map (worker side).
-
-    A disk that never received a block has a zero-length file (created
-    eagerly, grown on first write); mmap rejects empty files, so hand
-    back an empty array instead.
-    """
-    if os.path.getsize(path) == 0:
-        return np.empty(0, dtype=np.int64)
-    return np.memmap(path, dtype=np.int64, mode="r")
 
 
 class MmapDiskStore(MutableMapping):
@@ -327,11 +292,6 @@ class MmapFileBackend(StorageBackend):
         if self.workdir is None:
             raise ConfigError("mmap backend not attached to a system yet")
         return os.path.join(self.workdir, f"disk{disk_id:04d}.dat")
-
-    def file_paths(self) -> list[str]:
-        """Per-disk file paths (what worker processes reopen)."""
-        assert self.n_disks is not None
-        return [self.path_for(d) for d in range(self.n_disks)]
 
     def store_for(self, disk_id: int) -> BlockStore:
         store = self._stores.get(disk_id)

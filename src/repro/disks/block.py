@@ -24,6 +24,32 @@ import numpy as np
 
 from ..errors import DataError
 
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def as_int64_records(values, what: str = "keys") -> np.ndarray:
+    """Return *values* as an int64 array, refusing any lossy conversion.
+
+    Signed integers of any width and unsigned integers that fit in
+    int64 convert exactly; int64 input comes back without a copy.
+    Floats, booleans, objects and unsigned values of 2**63 or more raise
+    :class:`DataError` instead of being truncated or wrapped.  *what*
+    names the array in the error message.
+    """
+    arr = np.asarray(values)
+    if arr.dtype == np.int64:
+        return arr
+    kind = arr.dtype.kind
+    if arr.size and (
+        kind not in "iu" or (kind == "u" and int(arr.max()) > _INT64_MAX)
+    ):
+        raise DataError(
+            f"{what} must be integers that fit in int64, got dtype {arr.dtype}"
+            + (" with values >= 2**63" if kind == "u" else "")
+        )
+    return arr.astype(np.int64)
+
+
 #: Sentinel forecast key meaning "run has no further block on this disk".
 #: Any real key compares smaller, so exhausted chains sort last in the
 #: forecasting structure.

@@ -339,40 +339,6 @@ class ParallelDiskSystem:
             self.tracer.op("read", len(live), t0, self.elapsed_ms)
         return out
 
-    def charge_read_stripe(self, addresses: Sequence[BlockAddress]) -> None:
-        """Charge one parallel read without materializing the blocks.
-
-        Accounting-identical to :meth:`read_stripe` on a fault-free
-        system — same distinct-disk check, :class:`IOStats` update,
-        clock advance and trace record — but the stored blocks are never
-        decoded.  The ghost schedule drive of the parallel merge plane
-        uses this: worker processes read the bytes out-of-band, so the
-        parent only owes the accounting.  Refuses to run with faults
-        armed (every armed read must pass the retry/checksum ladder).
-        """
-        if self.faults is not None:
-            raise InvalidIOError(
-                "charge_read_stripe requires a fault-free system"
-            )
-        live = [a for a in addresses if a is not None]
-        if not live:
-            return
-        if self.round_hook is not None:
-            self.round_hook()
-        self._check_one_per_disk([a.disk for a in live])
-        for a in live:
-            if not self.disks[a.disk].has_block(a.slot):
-                raise InvalidIOError(
-                    f"disk {a.disk} slot {a.slot} holds no block"
-                )
-        self._record_read([a.disk for a in live])
-        t0 = self.elapsed_ms
-        self._advance_clock(len(live))
-        if self.trace is not None:
-            self.trace.record("read", [a.disk for a in live], self.elapsed_ms)
-        if self.tracer is not None:
-            self.tracer.op("read", len(live), t0, self.elapsed_ms)
-
     def write_stripe(
         self, writes: Sequence[tuple[BlockAddress, Block]]
     ) -> list[int]:

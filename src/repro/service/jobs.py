@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..core.config import SRMConfig
+from ..disks.block import as_int64_records
 from ..disks.counters import IOStats
 from ..errors import ConfigError
 from ..memory.pool import BufferPool
@@ -92,9 +93,7 @@ class JobSpec:
             raise ConfigError(
                 f"job {self.job_id!r}: arrival must be >= 0, got {self.arrival_ms}"
             )
-        object.__setattr__(
-            self, "keys", np.asarray(self.keys, dtype=np.int64)
-        )
+        object.__setattr__(self, "keys", as_int64_records(self.keys))
         if self.keys.size == 0:
             raise ConfigError(f"job {self.job_id!r} has no records to sort")
 

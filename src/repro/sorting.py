@@ -19,6 +19,7 @@ from .baselines.dsm import dsm_sort
 from .core.config import DSMConfig, SRMConfig
 from .core.layout import LayoutStrategy
 from .core.mergesort import srm_sort
+from .disks.block import as_int64_records
 from .errors import ConfigError
 from .rng import RngLike
 
@@ -64,8 +65,9 @@ def external_sort(
         ``"replacement_selection"``).
 
     Returns the sorted array and an :class:`ExternalSortStats` summary.
+    Keys must be integers that fit in int64.
     """
-    keys = np.asarray(keys, dtype=np.int64)
+    keys = as_int64_records(keys)
     if keys.size == 0:
         return keys.copy(), ExternalSortStats(
             algorithm=algorithm, n_records=0, merge_order=0, runs_formed=0,
@@ -117,8 +119,8 @@ def external_sort_records(
     formed in input order, internal sorts are stable, and the merge
     breaks key ties by ascending run id).
     """
-    keys = np.asarray(keys, dtype=np.int64)
-    payloads = np.asarray(payloads, dtype=np.int64)
+    keys = as_int64_records(keys)
+    payloads = as_int64_records(payloads, "payloads")
     if payloads.shape != keys.shape:
         raise ConfigError("payloads must align with keys")
     if keys.size == 0:

@@ -33,10 +33,6 @@ __all__ = [
     "SPAN_SPLITTER_SELECT",
     "SPAN_EXCHANGE",
     "SPAN_SHARD_MERGE",
-    "SPAN_PMERGE",
-    "SPAN_PMERGE_PARTITION",
-    "SPAN_PMERGE_WORKERS",
-    "SPAN_PMERGE_STITCH",
     "SPAN_SERVICE",
     "SPAN_SERVICE_JOB",
     "IO_PARALLEL_READS",
@@ -90,12 +86,6 @@ __all__ = [
     "BACKEND_BYTES_READ",
     "BACKEND_FILE_GROWS",
     "BACKEND_FILE_BYTES",
-    "PMERGE_MERGES",
-    "PMERGE_WORKERS",
-    "PMERGE_RANGES",
-    "PMERGE_RECORDS",
-    "PMERGE_PARTITION_PROBES",
-    "PMERGE_GHOST_ROUNDS",
     "SERVICE_JOBS_SUBMITTED",
     "SERVICE_JOBS_ADMITTED",
     "SERVICE_JOBS_COMPLETED",
@@ -110,7 +100,6 @@ __all__ = [
     "EV_DISK_DEATH",
     "EV_NODE_LOSS",
     "EV_EXCHANGE_ROUND",
-    "EV_PMERGE_WORKER",
     "EV_QUOTA_VIOLATION",
     "EV_JOB_ABORTED",
     "read_width_edges",
@@ -140,15 +129,6 @@ SPAN_CLUSTER_SORT = "cluster_sort"
 SPAN_SPLITTER_SELECT = "splitter_select"
 SPAN_EXCHANGE = "exchange"
 SPAN_SHARD_MERGE = "shard_merge"
-
-# Process-parallel Merge Path plane (``repro.core.parallel_merge``):
-# the root span of one parallel merge, then its three stages — co-rank
-# partitioning, the worker-pool drain, and stitching scratch output
-# through the RunWriter.
-SPAN_PMERGE = "pmerge"
-SPAN_PMERGE_PARTITION = "pmerge_partition"
-SPAN_PMERGE_WORKERS = "pmerge_workers"
-SPAN_PMERGE_STITCH = "pmerge_stitch"
 
 # Multi-tenant sort service (``repro serve``): the root span of one
 # service run, and one child span per job covering admission through
@@ -266,24 +246,6 @@ BACKEND_FILE_GROWS = "backend.file_grows"
 #: Total bytes reserved across all disk files (sparse on most FS).
 BACKEND_FILE_BYTES = "backend.file_bytes"
 
-# Process-parallel merge counters (``pmerge.*``).  All zero when merges
-# run on the serial data plane.
-
-#: Merges drained by the parallel Merge Path plane.
-PMERGE_MERGES = "pmerge.merges"
-#: Worker processes requested per parallel merge (W).
-PMERGE_WORKERS = "pmerge.workers"
-#: Disjoint output ranges actually dispatched (<= W; empty ranges skip).
-PMERGE_RANGES = "pmerge.ranges"
-#: Records merged by worker processes.
-PMERGE_RECORDS = "pmerge.records"
-#: Co-rank binary-search probes over the key domain (all uncharged
-#: metadata work; the §5.5 I/O schedule is untouched).
-PMERGE_PARTITION_PROBES = "pmerge.partition_probes"
-#: Ghost-schedule drive iterations replaying the serial ParRead/flush
-#: stream (one per drain round; ~= merge ParReads + 1).
-PMERGE_GHOST_ROUNDS = "pmerge.ghost_rounds"
-
 # Multi-tenant service counters (``service.*``).  All zero outside
 # ``repro serve`` / ``SortService`` runs.
 
@@ -340,9 +302,6 @@ EV_NODE_LOSS = "node_loss"
 #: critical (slowest-link) time, and per-link ``{src, dst, blocks,
 #: records, ms}`` alpha-beta charges.
 EV_EXCHANGE_ROUND = "exchange_round"
-#: One parallel-merge worker finished its range drain; attrs carry the
-#: worker index, records merged, and wall-clock drain seconds.
-EV_PMERGE_WORKER = "pmerge_worker"
 #: A job asked for more frames than its tenant's quota can ever hold;
 #: attrs carry the job, tenant, need, and quota.
 EV_QUOTA_VIOLATION = "quota_violation"

@@ -9,9 +9,9 @@ Every traced operation becomes one :class:`TraceRecord` with
 
 * ``queue_ms`` / ``start_ms`` / ``end_ms`` — simulated-clock timestamps
   (when the request was issued, when service began, when it completed);
-* a ``lane`` (``disk3``, ``cpu``, ``channel``, ``node2``, ``link``,
-  ``worker1``) and a ``domain`` grouping one timeline (``merge:1``,
-  ``demand:0``, ``cluster:0``, ``wall:0``);
+* a ``lane`` (``disk3``, ``cpu``, ``channel``, ``node2``, ``link``)
+  and a ``domain`` grouping one timeline (``merge:1``, ``demand:0``,
+  ``cluster:0``);
 * a ``cat`` in ``{read, write, compute, stall, link, recovery}`` — the
   attribution bucket the record charges time to;
 * a causal predecessor ``dep`` — the index of the record whose
@@ -23,8 +23,7 @@ Every traced operation becomes one :class:`TraceRecord` with
 
 Records carry only simulated-clock floats and small ints/strings, so a
 seeded run exports a byte-identical trace JSONL (asserted by the
-determinism tests).  Wall-clock lanes (parallel-merge workers) are
-segregated under the ``wall`` domain and never mix with simulated time.
+determinism tests).
 
 The :class:`TraceCollector` is a bounded ring: overflow evicts the
 oldest records and counts them in ``dropped`` (surfaced by ``repro
@@ -76,7 +75,7 @@ KIND_CATEGORY = {
 
 
 class TraceRecord:
-    """One traced operation on the simulated (or wall) timeline."""
+    """One traced operation on a simulated timeline."""
 
     __slots__ = (
         "index", "kind", "cat", "lane", "domain",

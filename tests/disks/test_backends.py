@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -16,11 +18,9 @@ from repro.disks import (
     make_backend,
     parse_backend,
 )
-from repro.disks.backends.mmapfile import (
-    HEADER_WORDS,
-    SlotLayout,
-    open_disk_flat,
-)
+from repro.baselines import dsm_sort
+from repro.core import DSMConfig, SRMConfig, srm_sort
+from repro.disks.backends.mmapfile import HEADER_WORDS, SlotLayout
 from repro.disks.block import NO_KEY
 from repro.errors import ConfigError
 
@@ -210,7 +210,7 @@ class TestFilesAndCleanup:
         sys_ = ParallelDiskSystem(2, 4, backend=be)
         a = sys_.allocate(0)
         sys_.disks[0].write(a.slot, Block(keys=np.array([1])))
-        paths = be.file_paths()
+        paths = [be.path_for(d) for d in range(2)]
         sys_.close()
         assert all(os.path.exists(p) for p in paths)
 
@@ -228,16 +228,64 @@ class TestFilesAndCleanup:
             assert os.path.isdir(wd)
         assert not os.path.exists(wd)
 
-    def test_worker_side_flat_decode(self, tmp_path):
-        sys_ = mmap_system(tmp_path, D=2, B=4)
-        blk = Block(keys=np.array([4, 5, 6]), payloads=np.array([1, 2, 3]))
-        a = sys_.allocate(0)
-        sys_.disks[a.disk].write(a.slot, blk)
-        sys_.backend.flush()
-        lay = sys_.backend.layout
-        flat = open_disk_flat(sys_.backend.path_for(a.disk))
-        assert lay.keys_of(flat, a.slot).tolist() == [4, 5, 6]
-        assert lay.payloads_of(flat, a.slot).tolist() == [1, 2, 3]
+    @pytest.mark.parametrize(
+        "failing_sort",
+        [
+            lambda keys: srm_sort(
+                keys, SRMConfig.from_k(4, 4, 8), backend="mmap",
+                formation="bogus",
+            ),
+            lambda keys: dsm_sort(
+                keys, DSMConfig.from_memory(512, 4, 8), backend="mmap",
+                run_length=1,
+            ),
+        ],
+        ids=["srm_sort", "dsm_sort"],
+    )
+    def test_failed_sort_removes_tempdir_without_gc(
+        self, tmp_path, monkeypatch, failing_sort
+    ):
+        # A failed sort must release its fresh system itself; with the
+        # cyclic collector off, nothing else would remove the directory.
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        keys = np.arange(500)[::-1]
+        gc.disable()
+        try:
+            with pytest.raises(ConfigError):
+                failing_sort(keys)
+            leftover = [p for p in os.listdir(tmp_path) if p.startswith("repro-disks-")]
+        finally:
+            gc.enable()
+        assert leftover == []
+
+
+class TestSortAcrossBackends:
+    @pytest.mark.parametrize("B,n", [(8, 6001), (16, 4003)])
+    def test_srm_sort_mmap_matches_memory(self, B, n):
+        # Duplicate-heavy keys with payloads and a partial final block:
+        # the (key, run) tie-break and the short tail must survive the
+        # slot-record round trip bit-for-bit.
+        gen = np.random.default_rng(n)
+        keys = gen.integers(0, 17, n)
+        payloads = gen.integers(0, 2**40, n)
+        cfg = SRMConfig(n_disks=4, block_size=B, merge_order=4)
+        mem_keys, mem = srm_sort(keys, cfg, rng=7, payloads=payloads)
+        mm_keys, mm = srm_sort(
+            keys, cfg, rng=7, payloads=payloads, backend="mmap"
+        )
+        try:
+            assert n % B != 0
+            assert mem.n_merge_passes >= 1
+            assert np.array_equal(mem_keys, mm_keys)
+            mk, mp = mem.peek_sorted_records()
+            k, p = mm.peek_sorted_records()
+            assert np.array_equal(mk, k)
+            assert np.array_equal(mp, p)
+            # IOStats holds numpy arrays; compare the rendered counters.
+            assert str(mem.io) == str(mm.io)
+            assert mem.merge_schedules == mm.merge_schedules
+        finally:
+            mm.system.close()
 
 
 class TestDegradedModeOnMmap:

@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.disks.block import NO_KEY, Block, attach_forecasts, split_into_blocks
+from repro.disks.block import (
+    NO_KEY,
+    Block,
+    as_int64_records,
+    attach_forecasts,
+    split_into_blocks,
+)
 from repro.errors import DataError
 
 
@@ -111,3 +117,17 @@ class TestAttachForecasts:
         attach_forecasts(blocks, d)
         assert len(blocks[0].forecast) == d
         assert all(len(b.forecast) == 1 for b in blocks[1:])
+
+
+class TestAsInt64Records:
+    def test_int64_input_is_not_copied(self):
+        keys = np.arange(10, dtype=np.int64)
+        assert as_int64_records(keys) is keys
+
+    def test_error_names_the_array_and_dtype(self):
+        with pytest.raises(DataError, match="payloads.*float64"):
+            as_int64_records(np.ones(3), "payloads")
+
+    def test_empty_input_accepted(self):
+        out = as_int64_records([])
+        assert out.dtype == np.int64 and out.size == 0

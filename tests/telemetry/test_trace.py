@@ -3,39 +3,32 @@
 Contracts under test:
 
 * Same seed + same config ⇒ **byte-identical** trace JSONL, for SRM
-  (demand and overlap), DSM, and the cluster plane.  Determinism holds
-  on the simulated-clock domains; the wall-clock ``wall:N`` domains
-  from the parallel merge plane are explicitly excluded (they declare
-  ``exact=False`` and never appear on the default serial paths).
+  (demand and overlap), DSM, and the cluster plane.
 * Ring overflow drops oldest-first, counts every drop, and surfaces
   the count through ``RunReport.trace_dropped``; attribution on a
   truncated ring flags the walk instead of silently misattributing.
 * ``chrome_trace`` emits structurally valid Chrome trace-event JSON.
-* The parallel merge plane emits one ``pmerge_worker`` event per range
-  plus wall-domain drain records; the exchange plane emits one
-  ``exchange_round`` event per shifted round with per-link payloads.
+* A domain whose summary declares ``exact=False`` (a cluster run that
+  lost a node) is never reported exact by the critical-path walk.
+* The exchange plane emits one ``exchange_round`` event per shifted
+  round with per-link payloads.
 """
 
 from __future__ import annotations
 
 import json
 
-import numpy as np
 import pytest
 
 from repro.baselines import dsm_sort
 from repro.core.config import DSMConfig
-from repro.cluster import ClusterConfig, cluster_sort
+from repro.cluster import ClusterConfig, NodeLoss, cluster_sort
 from repro.core import SRMConfig, srm_sort
 from repro.core.config import OverlapConfig
-from repro.core.parallel_merge import parallel_merge_runs
-from repro.disks import ParallelDiskSystem
-from repro.disks.files import StripedRun
 from repro.telemetry import Telemetry
 from repro.telemetry.report import RunReport
 from repro.telemetry.schema import (
     EV_EXCHANGE_ROUND,
-    EV_PMERGE_WORKER,
     validate_events,
 )
 from repro.telemetry.trace import TraceCollector, chrome_trace
@@ -153,38 +146,21 @@ class TestChromeExport:
         json.dumps(doc)  # round-trips to JSON without error
 
 
-class TestPmergeWorkerSpans:
-    def test_worker_events_and_wall_domain(self):
-        system = ParallelDiskSystem(4, 8)
-        rng = np.random.default_rng(0)
-        runs = [
-            StripedRun.from_sorted_keys(
-                system, np.sort(rng.integers(0, 2**40, 200)),
-                run_id=r, start_disk=r % 4,
-            )
-            for r in range(3)
-        ]
-        tel = Telemetry(algo="pmerge")
+class TestInexactDomains:
+    def test_declared_inexact_summary_is_never_walked_exact(self):
+        from repro.analysis.critical_path import analyze_collector
+
+        keys = uniform_permutation(4000, rng=21)
+        tel = Telemetry(algo="cluster")
         col = tel.attach_trace()
-        parallel_merge_runs(
-            system, runs, output_run_id=99, output_start_disk=0,
-            workers=1, telemetry=tel,
+        cluster_sort(
+            keys, ClusterConfig(n_nodes=3), SRMConfig.from_k(4, 4, 32),
+            rng=22, telemetry=tel, node_loss=NodeLoss(node=1, after_round=1),
         )
-        events = tel.finish()
-        workers = [
-            e for e in events
-            if e["type"] == "event" and e["name"] == EV_PMERGE_WORKER
-        ]
-        assert workers, "each merged range must emit a pmerge_worker event"
-        assert sum(e["attrs"]["records"] for e in workers) == 600
-        assert all(e["attrs"]["drain_s"] >= 0.0 for e in workers)
-        wall = [r for r in col.records if r.domain.startswith("wall")]
-        assert len(wall) == len(workers)
-        assert all(r.kind == "compute" for r in wall)
-        # Wall-clock lanes never claim simulated-clock exactness.
-        assert all(
-            not s.exact for s in col.summaries if s.domain.startswith("wall")
-        )
+        cluster = [s for s in col.summaries if s.domain.startswith("cluster")]
+        assert cluster and all(not s.exact for s in cluster)
+        analyses = analyze_collector(col)
+        assert all(not analyses[s.domain].exact for s in cluster)
 
 
 class TestExchangeRoundSpans:
