@@ -14,6 +14,7 @@ scale (``M >= 1e5`` run-formation memory), where the speedup floors
 from __future__ import annotations
 
 import json
+import os
 
 from conftest import paper_scale
 
@@ -49,6 +50,7 @@ def test_hotpath_throughput(report):
     # document the invariant in the report payload as well.
     assert rep["merge"]["io_equivalent"]
     assert rep["run_formation"]["io_equivalent"]
+    assert rep["provenance"]["cpu_count"] == os.cpu_count()
     # The vectorized planes must never lose to their references.
     assert rep["merge"]["speedup"] > 1.0
     if full:

@@ -18,15 +18,21 @@ implementations and *proves equivalence while doing so*:
   I/O is asserted, so the delta prices the storage layer alone.
 
 Results land in a JSON report (default ``BENCH_sort_throughput.json``)
-with records/second, wall-clock, heap cycles, and speedups.
+with records/second, wall-clock, heap cycles, and speedups, under a
+``provenance`` block naming the commit, CPU count, and the Python and
+numpy versions that produced them.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
+import subprocess
 import sys
 import time
+from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
@@ -72,16 +78,32 @@ def _time(fn: Callable[[], Any]) -> tuple[float, Any]:
     return time.perf_counter() - t0, out
 
 
-def _schedule_tuple(s) -> tuple:
-    return (
-        s.initial_reads,
-        s.merge_parreads,
-        s.blocks_read,
-        s.flush_ops,
-        s.blocks_flushed,
-        s.n_blocks,
-        s.max_mr_occupied,
-    )
+def provenance() -> dict:
+    """Commit (with dirty flag), CPU count, Python and numpy versions.
+
+    The commit fields are ``None`` when the package does not sit in a
+    git checkout or git is unavailable.
+    """
+    sha, dirty = None, None
+    git = ["git", "-C", str(Path(__file__).resolve().parent)]
+    try:
+        sha = subprocess.run(
+            git + ["rev-parse", "HEAD"], capture_output=True, text=True,
+            timeout=30, check=True,
+        ).stdout.strip()
+        dirty = bool(subprocess.run(
+            git + ["status", "--porcelain", "--untracked-files=no"],
+            capture_output=True, text=True, timeout=30, check=True,
+        ).stdout.strip())
+    except (OSError, subprocess.SubprocessError):
+        sha, dirty = None, None
+    return {
+        "git_sha": sha,
+        "git_dirty": dirty,
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+    }
 
 
 def _io_tuple(io) -> tuple:
@@ -106,7 +128,7 @@ def bench_merge(n_records: int, k: int = 4, n_disks: int = 4,
         wall, (sorted_keys, res) = _time(
             lambda m=merger: srm_sort(keys, cfg, rng=seed + 1, merger=m)
         )
-        sched = [_schedule_tuple(s) for s in res.merge_schedules]
+        sched = list(res.merge_schedules)
         io = _io_tuple(res.io)
         rounds = res.system.channel_rounds
         if not baseline:
@@ -688,6 +710,7 @@ def run_benchmarks(quick: bool = False) -> dict:
     report = {
         "benchmark": "repro bench (hot-path harness)",
         "mode": "quick" if quick else "full",
+        "provenance": provenance(),
         "merge": bench_merge(scale["merge_records"]),
         "run_formation": bench_run_formation(
             scale["rs_records"], scale["rs_memory"]
@@ -731,6 +754,12 @@ def main(argv: list[str] | None = None) -> int:
         json.dump(report, fh, indent=2, sort_keys=False)
         fh.write("\n")
 
+    pv = report["provenance"]
+    commit = "unknown" if pv["git_sha"] is None else (
+        pv["git_sha"][:12] + (" (dirty)" if pv["git_dirty"] else "")
+    )
+    print(f"provenance    commit {commit}  cpus {pv['cpu_count']}"
+          f"  python {pv['python']}  numpy {pv['numpy']}")
     m, rs = report["merge"], report["run_formation"]
     print(f"merge        losertree {m['losertree']['records_per_sec']:>10,} rec/s"
           f"  heapq {m['heapq']['records_per_sec']:>10,} rec/s"

@@ -37,6 +37,7 @@ import numpy as np
 
 from ..core.config import SRMConfig
 from ..core.layout import LayoutStrategy
+from ..core.merge import MERGERS
 from ..core.mergesort import SortResult, run_merge_passes
 from ..core.run_formation import form_runs_load_sort
 from ..disks.backends import StorageBackend, parse_backend
@@ -204,7 +205,9 @@ def cluster_sort(
     or :class:`~repro.disks.backends.BackendSpec`) applied to every
     node's disk array; with an explicit mmap workdir each node's files
     land under its own ``node<n>/`` subdirectory.  Keys must be integers
-    that fit in int64.
+    that fit in int64.  If the sort raises, every node system it created
+    (lost ones included) is closed before the error propagates, so no
+    mmap scratch directory outlives the call.
     """
     keys = as_int64_records(keys)
     P = cluster.n_nodes
@@ -214,10 +217,40 @@ def cluster_sort(
             "cluster_sort needs a backend spec (string or BackendSpec), "
             "not a StorageBackend instance — each node gets its own backend"
         )
+    if merger not in MERGERS:
+        raise ConfigError(f"merger must be one of {MERGERS}, got {merger!r}")
     if keys.size == 0:
         raise ConfigError("cannot sort an empty file")
     if keys.size < P:
         raise ConfigError(f"{keys.size} records cannot feed {P} nodes")
+    created: list[ParallelDiskSystem] = []
+    try:
+        return _cluster_sort(
+            keys, cluster, config, strategy, rng, run_length, merger,
+            timing, telemetry, node_loss, backend_spec, created,
+        )
+    except BaseException:
+        for system in created:
+            system.close()
+        raise
+
+
+def _cluster_sort(
+    keys: np.ndarray,
+    cluster: ClusterConfig,
+    config: SRMConfig,
+    strategy: LayoutStrategy,
+    rng: RngLike,
+    run_length: int | None,
+    merger: str,
+    timing: DiskTimingModel | None,
+    telemetry,
+    node_loss: Optional[NodeLoss],
+    backend_spec,
+    created: list[ParallelDiskSystem],
+) -> tuple[np.ndarray, ClusterSortResult]:
+    """The body of :func:`cluster_sort`; every system it makes joins *created*."""
+    P = cluster.n_nodes
     tel = telemetry if telemetry is not None else TELEMETRY_OFF
     root = ensure_rng(rng)
     layout_rngs, sample_rngs, recv_rngs, merge_rngs, rebuild_rngs = (
@@ -241,12 +274,14 @@ def cluster_sort(
         # A unique child label per created system: rebuilt nodes get a
         # fresh subdirectory instead of colliding with the lost array's.
         label = f"node{next(system_seq)}"
-        return ParallelDiskSystem(
+        system = ParallelDiskSystem(
             config.n_disks,
             config.block_size,
             timing=timing,
             backend=backend_spec.child(label).create(),
         )
+        created.append(system)
+        return system
 
     # -- phase 1: per-node ingest + run formation -----------------------
     parts = np.array_split(keys, P)

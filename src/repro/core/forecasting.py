@@ -20,10 +20,20 @@ implanted tuples lives in the test suite.
 
 ``H`` is one ``D x R`` int64 matrix plus a boolean *alive* mask for
 exhausted chains (keys may occupy the full int64 range, so no in-band
-sentinel exists), and the merger's hot queries — the smallest block on a
-disk, the global minimum, and each run's next on-disk key — are single
-vectorized reductions (``argmin`` over a row, ``min`` over the matrix,
-``min`` over a column) instead of Python loops with lazy heaps.
+sentinel exists), and the merger's hot queries are single vectorized
+reductions instead of Python loops with lazy heaps.  A ``ParRead`` asks
+two of them, each one unmasked ``argmin``:
+
+* :meth:`ForecastStructure.smallest_blocks` — Definition 5's fetch set,
+  the smallest block on every disk (``argmin`` along each row);
+* :meth:`ForecastStructure.galloping_bound` — the smallest ``(key, run)``
+  on any disk (``argmin`` over ``H`` read run-major, so the first
+  minimum is the ``(key, run)`` tie-break), which bounds what the
+  resident blocks may emit before that fetch.
+
+A dead chain's filler equals ``INT64_MAX``, itself a legal key, so
+whenever an ``argmin`` lands on a dead entry the query falls back to the
+exact masked reduction.
 """
 
 from __future__ import annotations
@@ -108,15 +118,67 @@ class ForecastStructure:
         resolve to the smallest run index (``argmin`` returns the first
         minimum, matching the old heap's ``(key, run)`` ordering).
         """
-        idx = np.flatnonzero(self._alive[disk])
-        if idx.size == 0:
+        run = self._live_argmin(disk)
+        if run is None:
             return None
-        sub = self._h[disk, idx]
-        run = int(idx[sub.argmin()])
         block = self.chain_head_block(run, disk)
         if block is None:  # pragma: no cover - defensive
             raise ScheduleError("FDS points at an exhausted chain")
         return int(self._h[disk, run]), run, block
+
+    def _live_argmin(self, disk: int) -> Optional[int]:
+        """Run of the smallest live head on *disk* (masked), or ``None``."""
+        idx = np.flatnonzero(self._alive[disk])
+        if idx.size == 0:
+            return None
+        return int(idx[self._h[disk, idx].argmin()])
+
+    def smallest_blocks(self) -> list[tuple[int, int, int]]:
+        """Definition 5's fetch set: ``(run, block, disk)`` per live disk.
+
+        The smallest block on every disk that still holds one, in disk
+        order — what :meth:`smallest_block_on_disk` returns for each
+        disk, from one ``argmin`` along the rows of ``H``.
+        """
+        D = self.n_disks
+        runs = self._h.argmin(axis=1).tolist()
+        alive = self._alive
+        ptr = self._ptr
+        starts = self._starts
+        reads = []
+        for d in range(D):
+            run = runs[d]
+            if not alive[d, run]:
+                # The filler won: the disk is empty, or every live head
+                # on it is INT64_MAX and a dead chain of a smaller run
+                # ties it.  Take the exact masked path.
+                run = self._live_argmin(d)
+                if run is None:
+                    continue
+            reads.append((run, (d - starts[run]) % D + ptr[run][d] * D, d))
+        return reads
+
+    def galloping_bound(self) -> Optional[tuple[int, int]]:
+        """Smallest ``(key, run)`` over all live chains, or ``None``.
+
+        ``key`` is the first key of the smallest on-disk block and
+        ``run`` the smallest run holding a block with that first key.
+        Every resident record ordered before this pair can be merged
+        before the next ``ParRead``; this is the batched merger's
+        galloping bound.
+        """
+        # Read run-major, argmin's first minimum is the smallest run.
+        by_run = self._h.T
+        run, disk = divmod(int(by_run.argmin()), self.n_disks)
+        if not self._alive[disk, run]:
+            # The filler won: no chain is live, or every live head is
+            # INT64_MAX and a dead chain ahead of it in run order ties.
+            live = np.flatnonzero(self._alive.T)
+            if live.size == 0:
+                return None
+            i = int(live[by_run.ravel()[live].argmin()])
+            run, disk = divmod(i, self.n_disks)
+        return self._h.item(disk, run), run
 
     def global_min_key(self) -> float:
         """Smallest key of any on-disk block (the ``S_t`` minimum)."""
@@ -136,18 +198,6 @@ class ForecastStructure:
             return INF
         return int(self._h[:, run][col].min())
 
-    def min_keys_per_run(self) -> tuple[np.ndarray, np.ndarray]:
-        """``min_i H_i[j]`` for every run ``j`` in one reduction.
-
-        Returns ``(values, valid)``: an int64 array of per-run minima and
-        a boolean mask of runs with at least one on-disk block.  Entries
-        with ``valid`` unset are filler (:data:`INF_I64` is not a
-        reserved key, so a mask — not a sentinel — signals exhaustion).
-        This is the batched merger's galloping-bound query.
-        """
-        values = np.where(self._alive, self._h, INF_I64).min(axis=0)
-        return values, self._alive.any(axis=0)
-
     # -- transitions ---------------------------------------------------------
 
     def advance(self, run: int, disk: int) -> None:
@@ -158,6 +208,13 @@ class ForecastStructure:
         """
         self._ptr[run][disk] += 1
         self._refresh(run, disk)
+
+    def advance_many(self, reads) -> None:
+        """:meth:`advance` for every ``(run, block, disk)`` of one ``ParRead``."""
+        ptr = self._ptr
+        for run, _block, disk in reads:
+            ptr[run][disk] += 1
+            self._refresh(run, disk)
 
     def push_back(self, run: int, block: int) -> None:
         """A flushed *block* returns to its disk (§5.3 flush update).

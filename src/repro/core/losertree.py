@@ -11,14 +11,15 @@ same flushes, same output records):
   out of the same path.  :func:`merge_loop_cycles` drives it one key
   range at a time — the granularity the overlap engine needs for its
   simulated clock.
-* :func:`merge_loop_batched` — the demand-path data plane.  Between two
-  ``ParRead`` operations the set of resident blocks is fixed, so every
-  resident record smaller than the *galloping bound* — the smallest
-  first key of any non-resident block (``min_i H_i[j]`` per run, a
-  single vectorized reduction) — can be emitted in one step:
-  ``searchsorted`` cuts each resident block at the bound, and one stable
-  ``argsort`` interleaves whole block slices instead of one Python heap
-  cycle per key-range switch.
+* :func:`merge_loop_batched` — the demand-path data plane, one pass per
+  ``ParRead``.  Between two ``ParRead`` operations the set of resident
+  blocks is fixed, so every resident record ordered before the
+  *galloping bound* — the smallest ``(first key, run)`` of any
+  non-resident block, one ``argmin`` over the forecasting matrix ``H``
+  — can be emitted in one step: each resident block is cut at the bound
+  (whole or not at all from its end keys, ``searchsorted`` only when it
+  straddles), one stable ``argsort`` interleaves the slices, and the
+  pass ends by demand-fetching the bound's block.
 
 Ordering contract (shared with the heapq reference): records are emitted
 in ``(key, run index, position in run)`` order.  Ties across runs go to
@@ -252,15 +253,24 @@ def merge_loop_batched(
     validate: bool,
     telemetry=None,
 ) -> int:
-    """Drain whole resident block slices between consecutive ``ParRead``\\ s.
+    """Drain whole resident block slices, then fetch: one pass per ``ParRead``.
 
-    Each iteration computes the *galloping bound* — the smallest
-    ``(first key, run)`` of any non-resident block, straight from the
-    forecasting structure's vectorized per-run minima — then emits every
-    resident record ordered before that bound in one stable merge.  When
-    nothing is emittable the bound's block is demand-fetched, exactly
+    Each pass asks the forecasting structure once for the *galloping
+    bound* — the smallest ``(first key, run)`` of any non-resident block
+    — and emits every resident record ordered before it in one stable
+    merge.  The pass then demand-fetches the bound's block, exactly
     where the cycle loop would have stalled, so the ``ParRead``/flush
     stream is bit-identical to the reference merger.
+
+    Fusing the drain with the fetch is exact: ``H`` changes only on
+    ``ParRead`` and flush, which depletions never trigger, so the bound
+    after the drain is the one before it; and every resident record
+    ordered before that bound has just been emitted, so a fresh pass
+    could only reach the same fetch.
+
+    A block's cut is decided from its ends first: a block wholly before
+    the bound is taken whole, one whose next record lies after it ends
+    the run's slice, and only a block straddling the bound is searched.
 
     Returns the number of consumed key ranges (block slices), the
     batched analogue of heap cycles.
@@ -268,99 +278,108 @@ def merge_loop_batched(
     job = sched.job
     R = job.n_runs
     fds = sched.fds
+    first_keys = job.first_keys
     n_blocks = [job.blocks_in_run(r) for r in range(R)]
     offsets = [0] * R
+    leading = sched.leading
     tel = telemetry if telemetry is not None else TELEMETRY_OFF
     h_batch = tel.histogram(H_DRAIN_BATCH, batch_edges(system.block_size))
     m_cycles = tel.counter(MERGE_DRAIN_CYCLES)
     cycles = 0
     while not sched.finished():
-        bounds, valid = fds.min_keys_per_run()
-        bounded = bool(valid.any())
-        if bounded:
-            # Smallest (key, run) among runs with on-disk blocks; argmin
-            # over the valid subset keeps the smallest-run tie-break.
-            idx = np.flatnonzero(valid)
-            br = int(idx[bounds[idx].argmin()])
-            bound_key = int(bounds[br])
-        else:
-            br = -1
-            bound_key = 0
+        bound = fds.galloping_bound()
+        if bound is not None:
+            bound_key, br = bound
 
         # Collect, per run, the resident slices ordered before the bound.
         seg_keys: list[np.ndarray] = []
         seg_pays: list[np.ndarray] | None = None
         depleted: list[tuple[int, int, int]] = []  # (last_key, run, block)
-        leading = sched.leading
         for r in range(R):
             b = leading[r]
-            off = offsets[r]
-            new_off = off
+            new_off = offsets[r]
             while b < n_blocks[r] and (r, b) in block_data:
                 data, pay = block_data[(r, b)]
                 if validate and new_off == 0:
                     # First touch of this block: the counterpart of the
                     # heapq loop's per-cycle desync check.
-                    if int(data[0]) != int(job.first_keys[r][b]) or bool(
+                    if int(data[0]) != int(first_keys[r][b]) or bool(
                         np.any(data[1:] < data[:-1])
                     ):
                         raise ScheduleError(
                             f"merge batch desync: run {r} block {b}"
                             " contents disagree with run metadata"
                         )
-                if bounded:
+                size = data.size
+                if bound is None:
+                    hi = size
+                elif r <= br:
                     # Records equal to the bound belong to this run iff it
                     # precedes the bound's run in the (key, run) order —
                     # or owns the bound itself (earlier block, same run).
-                    side = "right" if r <= br else "left"
-                    hi = int(np.searchsorted(data, bound_key, side=side))
-                else:
-                    hi = data.size
-                if hi <= new_off:
+                    if data.item(-1) <= bound_key:
+                        hi = size
+                    elif data.item(new_off) > bound_key:
+                        break
+                    else:
+                        hi = int(data.searchsorted(bound_key, "right"))
+                elif data.item(-1) < bound_key:
+                    hi = size
+                elif data.item(new_off) >= bound_key:
                     break
+                else:
+                    hi = int(data.searchsorted(bound_key, "left"))
                 seg_keys.append(data[new_off:hi])
                 if pay is not None:
                     if seg_pays is None:
                         seg_pays = []
                     seg_pays.append(pay[new_off:hi])
-                if hi < data.size:
+                if hi < size:
                     new_off = hi
                     break
-                depleted.append((int(data[-1]), r, b))
+                depleted.append((data.item(-1), r, b))
                 b += 1
                 new_off = 0
             offsets[r] = new_off
 
-        if not seg_keys:
-            if not bounded:  # pragma: no cover - guarded by finished()
-                raise ScheduleError("merge stalled with no on-disk blocks")
-            # The globally smallest record lives in a non-resident block:
-            # demand-fetch it (one ParRead, as in the cycle loop).
-            sched.ensure_resident(br, leading[br])
-            continue
+        if seg_keys:
+            cycles += len(seg_keys)
+            if len(seg_keys) == 1:
+                merged_keys = seg_keys[0]
+                merged_pays = seg_pays[0] if seg_pays is not None else None
+            else:
+                merged_keys = np.concatenate(seg_keys)
+                order = np.argsort(merged_keys, kind="stable")
+                merged_keys = merged_keys[order]
+                merged_pays = (
+                    np.concatenate(seg_pays)[order]
+                    if seg_pays is not None
+                    else None
+                )
+            writer.append(merged_keys, merged_pays)
+            h_batch.observe(merged_keys.size)
 
-        cycles += len(seg_keys)
-        if len(seg_keys) == 1:
-            merged_keys = seg_keys[0]
-            merged_pays = seg_pays[0] if seg_pays is not None else None
-        else:
-            merged_keys = np.concatenate(seg_keys)
-            order = np.argsort(merged_keys, kind="stable")
-            merged_keys = merged_keys[order]
-            merged_pays = (
-                np.concatenate(seg_pays)[order] if seg_pays is not None else None
-            )
-        writer.append(merged_keys, merged_pays)
-        h_batch.observe(merged_keys.size)
+            # Fire depletions in consumption order: (last key, run,
+            # block) sorts each run's blocks in sequence and interleaves
+            # runs the way the per-cycle loop would have.
+            depleted.sort()
+            for _, r, b in depleted:
+                del block_data[(r, b)]
+                if free_inputs:
+                    system.free(runs[r].addresses[b])
+                sched.on_leading_depleted(r)
+        elif bound is None:  # pragma: no cover - guarded by finished()
+            raise ScheduleError("merge stalled with no on-disk blocks")
 
-        # Fire depletions in consumption order: (last key, run, block)
-        # sorts each run's blocks in sequence and interleaves runs the
-        # way the per-cycle loop would have.
-        depleted.sort()
-        for _, r, b in depleted:
-            del block_data[(r, b)]
-            if free_inputs:
-                system.free(runs[r].addresses[b])
-            sched.on_leading_depleted(r)
+        if bound is not None:
+            # The globally smallest unconsumed record now lives in the
+            # bound's non-resident block: demand-fetch it (one ParRead,
+            # as in the cycle loop).  Were the block resident, the drain
+            # owed it and another pass would find the same nothing.
+            if sched.ensure_resident(br, leading[br]) == 0:
+                raise ScheduleError(
+                    f"merge stalled: run {br} block {leading[br]} is"
+                    " resident but was not drained"
+                )
     m_cycles.inc(cycles)
     return cycles

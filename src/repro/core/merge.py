@@ -6,10 +6,16 @@ shared :class:`MergeScheduler`'s ``ParRead`` decisions, records flow
 through a chunked internal merge, and the output run is streamed to disk
 with perfect write parallelism.
 
-Internal merge processing is chunked: the run owning the globally
-smallest leading record is consumed up to (exclusive) the next
-competitor's key in one ``searchsorted`` step, so internal work is
-``O(switches · log B)`` rather than per-record Python.
+Internal merge processing is chunked.  On the pure demand path (no
+overlap engine, no eager prefetch) the merge makes one pass per
+``ParRead``: it emits every resident record ordered before the
+forecasting structure's galloping bound in one stable merge of block
+slices, then demand-fetches the bound's block
+(:func:`~repro.core.losertree.merge_loop_batched`).  Paced merges and
+the ``heapq`` reference instead consume the run owning the globally
+smallest leading record up to (exclusive) the next competitor's key in
+one ``searchsorted`` step, so internal work is ``O(switches · log B)``
+rather than per-record Python.
 
 The merger learns a non-resident leading block's first key *only*
 through the forecasting structure (``min_i H_i[run]``, Definition 1's

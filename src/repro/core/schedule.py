@@ -174,6 +174,10 @@ class MergeScheduler:
         self.pool = BufferPool(merge_order=job.n_runs, n_disks=job.n_disks)
         #: Current leading block index per run (Definition 1).
         self.leading = [0] * job.n_runs
+        self._n_blocks = [job.blocks_in_run(r) for r in range(job.n_runs)]
+        #: Runs with unconsumed blocks; ``leading`` only advances in
+        #: :meth:`on_leading_depleted`, which keeps this count.
+        self._runs_left = job.n_runs
         #: Residency of every not-fully-consumed block.
         self._resident: set[tuple[int, int]] = set()
         #: F_t — full non-leading resident blocks as (key, run, block),
@@ -257,7 +261,7 @@ class MergeScheduler:
             for r, b, d in stripe:
                 self._resident.add((r, b))
                 self.pool.load_leading()
-                self.fds.advance(r, d)
+            self.fds.advance_many(stripe)
             self.initial_reads += 1
             self.blocks_read += len(stripe)
             self._m_initial_reads.inc()
@@ -277,9 +281,9 @@ class MergeScheduler:
         """
         if not self._loaded:
             raise ScheduleError("ensure_resident before initial_load")
-        if block >= self.job.blocks_in_run(run):
+        if block >= self._n_blocks[run]:
             raise ScheduleError(f"run {run} has no block {block}")
-        if self.is_resident(run, block):
+        if (run, block) in self._resident:
             return 0
         # A demand fetch succeeds in exactly one ParRead: the needed
         # block's first record is the globally smallest unconsumed key,
@@ -324,29 +328,23 @@ class MergeScheduler:
             # occupancy allows.  On the demand path out_rank == 1 makes
             # this unreachable; eager callers avoid it via can_read_without_flush.
 
-        reads: list[ReadOp] = []
-        for d in range(self.job.n_disks):
-            head = self.fds.smallest_block_on_disk(d)
-            if head is None:
-                continue
-            key, run, block = head
-            reads.append((run, block, d))
+        reads: list[ReadOp] = self.fds.smallest_blocks()
         if not reads:
             raise ScheduleError("ParRead issued with no blocks on any disk")
 
-        for run, block, disk in reads:
+        for run, block, _disk in reads:
             if self.validate and block < self.leading[run]:
                 raise ScheduleError(
                     f"ParRead fetched already-consumed block ({run}, {block})"
                 )
             self._resident.add((run, block))
-            self.fds.advance(run, disk)
             if block == self.leading[run]:
                 self.pool.load_leading()
             else:
                 key = int(self.job.first_keys[run][block])
                 insort(self._f, (key, run, block))
                 self.pool.stage_read_into_mr(1)
+        self.fds.advance_many(reads)
         self.merge_parreads += 1
         self.blocks_read += len(reads)
         self._m_parreads.inc()
@@ -483,7 +481,9 @@ class MergeScheduler:
         self.pool.retire_leading()
         nxt = block + 1
         self.leading[run] = nxt
-        if nxt < self.job.blocks_in_run(run) and (run, nxt) in self._resident:
+        if nxt == self._n_blocks[run]:
+            self._runs_left -= 1
+        elif (run, nxt) in self._resident:
             key = int(self.job.first_keys[run][nxt])
             idx = bisect_left(self._f, (key, run, nxt))
             if idx >= len(self._f) or self._f[idx] != (key, run, nxt):
@@ -495,11 +495,8 @@ class MergeScheduler:
 
     def run_exhausted(self, run: int) -> bool:
         """True once every block of *run* has been consumed."""
-        return self.leading[run] >= self.job.blocks_in_run(run)
+        return self.leading[run] >= self._n_blocks[run]
 
     def finished(self) -> bool:
         """True once all runs are exhausted."""
-        return all(
-            self.leading[r] >= self.job.blocks_in_run(r)
-            for r in range(self.job.n_runs)
-        )
+        return self._runs_left == 0

@@ -1,8 +1,13 @@
 """End-to-end cluster sort: bit-identity, determinism, accounting."""
 
+import gc
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
+import repro.cluster.sort as cluster_sort_module
 from repro.cluster import ClusterConfig, LinkModel, NodeLoss, cluster_sort
 from repro.core import SRMConfig, srm_sort
 from repro.errors import ConfigError
@@ -200,3 +205,43 @@ class TestValidation:
             LinkModel(latency_ms=-1.0)
         with pytest.raises(ConfigError):
             NodeLoss(node=-1)
+
+
+class TestCleanupOnError:
+    """A failed cluster sort closes every node system it created."""
+
+    def _leftover_dirs(self, tmp_path, monkeypatch, **kw):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        keys = uniform_permutation(2_000, rng=0)
+        # With the cyclic collector off, only an explicit close removes
+        # an mmap backend's scratch directory.
+        gc.disable()
+        try:
+            with pytest.raises(ConfigError):
+                cluster_sort(
+                    keys, ClusterConfig(n_nodes=2), SRMConfig.from_k(4, 4, 16),
+                    rng=0, backend="mmap", **kw,
+                )
+            return [p for p in os.listdir(tmp_path) if p.startswith("repro-disks-")]
+        finally:
+            gc.enable()
+
+    def test_bad_merger_rejected_before_any_system(self, tmp_path, monkeypatch):
+        assert self._leftover_dirs(tmp_path, monkeypatch, merger="bogus") == []
+
+    def test_mid_sort_error_closes_node_systems(self, tmp_path, monkeypatch):
+        # The loss target is checked in the exchange, after run formation.
+        assert self._leftover_dirs(
+            tmp_path, monkeypatch, node_loss=NodeLoss(node=7)
+        ) == []
+
+    def test_error_after_node_loss_closes_lost_systems(
+        self, tmp_path, monkeypatch
+    ):
+        def failing_merge(*args, **kwargs):
+            raise ConfigError("injected shard-merge failure")
+
+        monkeypatch.setattr(cluster_sort_module, "run_merge_passes", failing_merge)
+        assert self._leftover_dirs(
+            tmp_path, monkeypatch, node_loss=NodeLoss(node=1, after_round=0)
+        ) == []

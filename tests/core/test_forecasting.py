@@ -125,9 +125,9 @@ class TestQueries:
 
 
 class TestVectorizedQueries:
-    """The numpy-matrix H backing: batch minima and full-range keys."""
+    """The numpy-matrix H backing: one-argmin queries and full-range keys."""
 
-    def test_min_keys_per_run(self):
+    def test_galloping_bound(self):
         job = make_job(
             [np.array([10, 11, 12, 13]), np.array([5, 6, 7, 8])],
             B=2,
@@ -135,24 +135,40 @@ class TestVectorizedQueries:
             starts=[0, 1],
         )
         fds = ForecastStructure(job)
-        values, valid = fds.min_keys_per_run()
-        assert valid.tolist() == [True, True]
-        assert values.tolist() == [10, 5]
+        assert fds.galloping_bound() == (5, 1)
 
-    def test_min_keys_per_run_tracks_advances(self):
+    def test_galloping_bound_tracks_advances(self):
         job = make_job([np.arange(8), np.arange(100, 108)], B=2, D=2,
                        starts=[0, 0])
         fds = ForecastStructure(job)
         for d in range(2):
             fds.advance(0, d)
             fds.advance(0, d)  # run 0 fully consumed
-        values, valid = fds.min_keys_per_run()
-        assert valid.tolist() == [False, True]
-        assert values[1] == 100
+        assert fds.galloping_bound() == (100, 1)
+        for d in range(2):
+            fds.advance(1, d)
+            fds.advance(1, d)
+        assert fds.galloping_bound() is None
+        assert fds.smallest_blocks() == []
+
+    def test_smallest_blocks(self):
+        # Run 0 (start disk 0): block 0 = [10, 11] on disk 0, block 1 =
+        # [12, 13] on disk 1.  Run 1 (start disk 1): block 0 = [5, 6] on
+        # disk 1, block 1 = [7, 8] on disk 0.
+        job = make_job(
+            [np.array([10, 11, 12, 13]), np.array([5, 6, 7, 8])],
+            B=2,
+            D=2,
+            starts=[0, 1],
+        )
+        fds = ForecastStructure(job)
+        assert fds.smallest_blocks() == [(1, 1, 0), (1, 0, 1)]
+        fds.advance(1, 0)
+        assert fds.smallest_blocks() == [(0, 0, 0), (1, 0, 1)]
 
     def test_int64_max_is_a_legal_key(self):
         # INT64_MAX must behave as a real key, not an exhausted-chain
-        # sentinel: exhaustion is signalled by the valid mask alone.
+        # sentinel: exhaustion is signalled by the alive mask alone.
         hi = np.iinfo(np.int64).max
         job = make_job(
             [np.array([hi - 3, hi - 2, hi - 1, hi]), np.array([0, 1, 2, 3])],
@@ -161,17 +177,38 @@ class TestVectorizedQueries:
             starts=[0, 0],
         )
         fds = ForecastStructure(job)
-        values, valid = fds.min_keys_per_run()
-        assert valid.tolist() == [True, True]
-        assert values.tolist() == [hi - 3, 0]
+        assert fds.galloping_bound() == (0, 1)
         assert fds.global_min_key() == 0
         assert fds.next_block_key_of_run(0) == hi - 3
-        # Exhaust run 1: its mask entry drops, run 0 keeps its real keys.
+        # Exhaust run 1: the bound moves to run 0's real keys.
         fds.advance(1, 0)
         fds.advance(1, 1)
-        values, valid = fds.min_keys_per_run()
-        assert valid.tolist() == [True, False]
+        assert fds.galloping_bound() == (hi - 3, 0)
         assert fds.next_block_key_of_run(1) == INF
+        fds.advance(0, 0)
+        assert fds.galloping_bound() == (hi - 1, 0)
+        assert fds.smallest_blocks() == [(0, 1, 1)]
+
+    def test_dead_filler_tie_with_live_int64_max(self):
+        # Run 0's chains die while run 1's heads are all INT64_MAX: the
+        # dead filler equals the live key and sits at the smaller run
+        # index, so the unmasked argmin lands on the dead entry.
+        hi = np.iinfo(np.int64).max
+        job = make_job(
+            [np.array([0, 1, 2, 3]), np.array([hi, hi, hi, hi])],
+            B=2,
+            D=2,
+            starts=[0, 0],
+        )
+        fds = ForecastStructure(job)
+        fds.advance(0, 0)  # run 0's disk-0 chain dies
+        assert fds.galloping_bound() == (2, 0)
+        assert fds.smallest_blocks() == [(1, 0, 0), (0, 1, 1)]
+        assert fds.smallest_block_on_disk(0) == (hi, 1, 0)
+        fds.advance(0, 1)  # run 0 fully consumed
+        assert fds.galloping_bound() == (hi, 1)
+        assert fds.smallest_blocks() == [(1, 0, 0), (1, 1, 1)]
+        assert fds.global_min_key() == hi
 
     def test_min_key_tie_prefers_smaller_run(self):
         job = make_job(

@@ -3,7 +3,12 @@
 The implementation tracks chain heads with per-(run, disk) pointers;
 the reference recomputes, from a plain set of on-disk blocks, the
 smallest block of every run on every disk (Definition 2 verbatim).
-Random advance/push_back sequences must keep them identical.
+Random advance/push_back sequences must keep them identical, for the
+per-disk and per-chain queries as well as the one-``argmin`` queries
+the merger issues per ``ParRead`` (``smallest_blocks`` and
+``galloping_bound``).  Jobs whose keys pile up on ``INT64_MAX`` make the
+dead-chain filler tie live heads, the case those queries must resolve
+through the alive mask.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ class ReferenceFDS:
 
     def head_key(self, disk: int, run: int) -> float:
         keys = [
-            float(self.job.first_keys[run][b])
+            int(self.job.first_keys[run][b])
             for (r, b) in self.on_disk
             if r == run and self.job.disk_of(r, b) == disk
         ]
@@ -40,11 +45,24 @@ class ReferenceFDS:
         for r, b in self.on_disk:
             if self.job.disk_of(r, b) != disk:
                 continue
-            key = float(self.job.first_keys[r][b])
+            key = int(self.job.first_keys[r][b])
             cand = (key, r, b)
             if best is None or cand < best:
                 best = cand
         return best
+
+    def smallest_blocks(self):
+        reads = []
+        for disk in range(self.job.n_disks):
+            best = self.smallest_block_on_disk(disk)
+            if best is not None:
+                reads.append((best[1], best[2], disk))
+        return reads
+
+    def galloping_bound(self):
+        if not self.on_disk:
+            return None
+        return min((int(self.job.first_keys[r][b]), r) for r, b in self.on_disk)
 
     def read(self, run: int, block: int) -> None:
         self.on_disk.remove((run, block))
@@ -60,9 +78,16 @@ def job_and_ops(draw):
     b = 2
     blocks = draw(st.integers(1, 8))
     seed = draw(st.integers(0, 10_000))
+    near_max = draw(st.booleans())
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(n_runs * blocks * b)
-    runs = [np.sort(perm[i::n_runs]) for i in range(n_runs)]
+    if near_max:
+        # Mostly INT64_MAX, the value dead chains hold as filler.
+        hi = np.iinfo(np.int64).max
+        pool = np.array([0, 1, hi - 1, hi, hi, hi], dtype=np.int64)
+        keys = rng.choice(pool, size=n_runs * blocks * b)
+    else:
+        keys = rng.permutation(n_runs * blocks * b)
+    runs = [np.sort(keys[i::n_runs]) for i in range(n_runs)]
     starts = rng.integers(0, d, size=n_runs)
     job = MergeJob.from_key_runs(runs, b, d, start_disks=starts)
     n_ops = draw(st.integers(0, 30))
@@ -80,6 +105,8 @@ class TestFDSFuzz:
         in_memory: list[tuple[int, int, int]] = []  # (run, block, disk)
 
         for c in choices:
+            assert fds.smallest_blocks() == ref.smallest_blocks()
+            assert fds.galloping_bound() == ref.galloping_bound()
             # Alternate between reading a random disk's head and
             # flushing a random in-memory block (valid ops only).
             if c % 2 == 0 or not in_memory:
@@ -110,6 +137,8 @@ class TestFDSFuzz:
                 ref.push_back(run, block)
 
         # Final state must agree everywhere.
+        assert fds.smallest_blocks() == ref.smallest_blocks()
+        assert fds.galloping_bound() == ref.galloping_bound()
         for disk in range(job.n_disks):
             for run in range(job.n_runs):
                 assert fds.head_key(disk, run) == ref.head_key(disk, run)

@@ -2,8 +2,10 @@
 
 The contract under test: every merger in :data:`repro.MERGERS` produces
 *bit-identical* observable behaviour — output records (keys and
-payloads), per-merge :class:`ScheduleStats`, disk-system I/O counters,
-and channel rounds — differing only in internal-work counters.
+payloads), the full per-merge :class:`ScheduleStats` (depletion gaps and
+``M_R`` high-water mark included), the ordered parallel-operation
+stream, disk-system I/O counters, and channel rounds — differing only in
+internal-work counters.
 """
 
 from __future__ import annotations
@@ -17,7 +19,8 @@ from hypothesis import strategies as st
 
 from repro.core import MERGERS, LoserTree, SRMConfig, merge_runs, srm_sort
 from repro.core.config import OverlapConfig
-from repro.disks import ParallelDiskSystem, StripedRun
+from repro.core.schedule import MergeScheduler
+from repro.disks import IOTrace, ParallelDiskSystem, StripedRun
 from repro.errors import ConfigError, ScheduleError
 from repro.workloads import uniform_keys, uniform_permutation
 
@@ -48,16 +51,22 @@ def read_records(system, run):
     return keys, np.concatenate([b.payloads for b in blocks])
 
 
-def schedule_tuple(s):
-    return (
-        s.initial_reads,
-        s.merge_parreads,
-        s.blocks_read,
-        s.flush_ops,
-        s.blocks_flushed,
-        s.n_blocks,
-        s.max_mr_occupied,
-    )
+INT64_MAX = np.iinfo(np.int64).max
+
+
+def fuzz_run_keys(rng, kind, R, L):
+    """*R* sorted runs of *L* keys: a distinct permutation, duplicate-heavy
+    keys in ``[0, 4)``, or a mix of keys near 0 and near ``INT64_MAX``."""
+    if kind == "perm":
+        return partition_runs(rng, R, L)
+    if kind == "dup":
+        return [np.sort(rng.integers(0, 4, size=L)) for _ in range(R)]
+    runs = []
+    for _ in range(R):
+        low = rng.integers(0, 8, size=L)
+        high = INT64_MAX - rng.integers(0, 8, size=L)
+        runs.append(np.sort(np.where(rng.random(L) < 0.5, low, high)))
+    return runs
 
 
 class TestLoserTree:
@@ -139,6 +148,7 @@ class TestMergerEquivalence:
         for merger in MERGERS:
             system = system_factory()
             runs = runs_factory(system)
+            system.trace = IOTrace()
             res = merge_runs(system, runs, 50, 0, merger=merger, **kw)
             keys, pays = read_records(system, res.output)
             results.append(
@@ -146,7 +156,8 @@ class TestMergerEquivalence:
                     "merger": merger,
                     "keys": keys,
                     "pays": pays,
-                    "sched": schedule_tuple(res.schedule),
+                    "sched": res.schedule,
+                    "ops": [(e.kind, e.disks) for e in system.trace.events],
                     "reads": res.io.parallel_reads,
                     "writes": res.io.parallel_writes,
                     "rounds": system.channel_rounds,
@@ -159,7 +170,7 @@ class TestMergerEquivalence:
                 assert other["pays"] is None
             else:
                 assert np.array_equal(base["pays"], other["pays"])
-            for field in ("sched", "reads", "writes", "rounds"):
+            for field in ("sched", "ops", "reads", "writes", "rounds"):
                 assert base[field] == other[field], (other["merger"], field)
         return results
 
@@ -175,18 +186,27 @@ class TestMergerEquivalence:
         blocks=st.integers(1, 8),
         b=st.integers(1, 4),
         d=st.integers(1, 4),
+        kind=st.sampled_from(["perm", "dup", "extreme"]),
     )
-    @settings(max_examples=30, deadline=None)
-    def test_fuzz_identical_io_and_output(self, seed, r, blocks, b, d):
+    @settings(max_examples=60, deadline=None)
+    def test_fuzz_identical_io_and_output(self, seed, r, blocks, b, d, kind):
         rng = np.random.default_rng(seed)
-        runs_keys = partition_runs(rng, r, blocks * b)
+        L = blocks * b
+        runs_keys = fuzz_run_keys(rng, kind, r, L)
+        payloads = [np.arange(i * L, (i + 1) * L, dtype=np.int64) for i in range(r)]
         starts = rng.integers(0, d, size=r)
 
-        self._merge_all(
+        results = self._merge_all(
             lambda: ParallelDiskSystem(d, b),
-            lambda s: build_runs(s, runs_keys, starts),
+            lambda s: build_runs(s, runs_keys, starts, payloads=payloads),
             validate=True,
         )
+        # Records leave in (key, run, position) order.
+        tagged = sorted(
+            (int(k), i, j) for i in range(r) for j, k in enumerate(runs_keys[i])
+        )
+        expect = np.array([payloads[i][j] for _, i, j in tagged], dtype=np.int64)
+        assert np.array_equal(results[0]["pays"], expect)
 
     def test_duplicate_heavy_with_payloads(self):
         """Cross-run duplicates + payloads: order ties break by run index."""
@@ -269,12 +289,26 @@ class TestMergerEquivalence:
             )
             keys, _ = read_records(system, res.output)
             reports[merger] = (
-                schedule_tuple(res.schedule),
+                res.schedule,
                 res.overlap.makespan_ms,
                 keys.tobytes(),
                 res.heap_cycles,
             )
         assert reports["heapq"] == reports["losertree"]
+
+
+class TestBatchedDrainGuards:
+    def test_unfetched_bound_block_raises_instead_of_spinning(self, monkeypatch):
+        # A fetch that brings nothing in would leave the next pass with
+        # the same bound and nothing to drain: fail, do not loop.
+        system = ParallelDiskSystem(2, 4)
+        rng = np.random.default_rng(0)
+        runs = build_runs(system, partition_runs(rng, 3, 16), [0, 1, 0])
+        monkeypatch.setattr(
+            MergeScheduler, "ensure_resident", lambda self, run, block: 0
+        )
+        with pytest.raises(ScheduleError, match="merge stalled"):
+            merge_runs(system, runs, 50, 0, merger="losertree")
 
 
 class TestEndToEndSortEquivalence:
@@ -286,7 +320,7 @@ class TestEndToEndSortEquivalence:
             out, res = srm_sort(keys, cfg, rng=5, merger=merger)
             outs[merger] = (
                 out.tobytes(),
-                tuple(schedule_tuple(s) for s in res.merge_schedules),
+                tuple(res.merge_schedules),
                 res.io.parallel_reads,
                 res.io.parallel_writes,
                 res.system.channel_rounds,
