@@ -619,9 +619,11 @@ def bench_latency_adaptive(n_records: int, k: int = 2, n_disks: int = 4,
     contract while timing it*: bit-identical output and a simulated
     makespan no worse than the fixed policy's are asserted on every
     row, so the improvement column is pure scheduling, not a changed
-    sort.  The geometry is the balanced regime (per-record merge cost
-    comparable to a block service), where read-ahead actually has
-    latency to hide; see ``repro cliff`` for the full grid.
+    sort.  ``adaptive_wall_overhead_frac`` charges the policy's
+    wall-clock cost on the same row (one timed sort per side).  The
+    geometry is the balanced regime (per-record merge cost comparable
+    to a block service), where read-ahead actually has latency to
+    hide; see ``repro cliff`` for the full grid.
     """
     from .core.config import LatencyAwareConfig, OverlapConfig
     from .faults import FaultPlan
@@ -689,6 +691,7 @@ def bench_latency_adaptive(n_records: int, k: int = 2, n_disks: int = 4,
             ),
             "wall_s_fixed": round(wall_f, 6),
             "wall_s_adaptive": round(wall_a, 6),
+            "adaptive_wall_overhead_frac": round(wall_a / wall_f - 1.0, 4),
             "output_identical": True,  # asserted above
         })
     return {
@@ -805,6 +808,7 @@ def main(argv: list[str] | None = None) -> int:
               f" fixed {row['fixed_makespan_ms']:>9,.0f} ms"
               f"  adaptive {row['adaptive_makespan_ms']:>9,.0f} ms"
               f"  improve {row['improvement_pct']:+.2f}%"
+              f"  wall {row['adaptive_wall_overhead_frac']*100:+.1f}%"
               f"  (output identical)")
     print(f"report -> {args.out}")
 

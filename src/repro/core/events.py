@@ -357,14 +357,16 @@ class OverlapEngine:
             return 0.0
         return ewma.cost(disk)
 
-    def _slow_with_blocks(self, sched: "MergeScheduler") -> tuple[int, ...]:
+    def _slow_with_blocks(self, sched: "MergeScheduler") -> list[int]:
         """Slow disks that still offer unfetched blocks to the merge."""
-        return tuple(
-            d for d in self.slow_disks()
-            if sched.fds.smallest_block_on_disk(d) is not None
-        )
+        fds = sched.fds
+        out = []
+        for d in self.slow_disks():
+            if fds.has_blocks_on_disk(d):
+                out.append(d)
+        return out
 
-    def _starved_slow(self, slow: tuple[int, ...], sched: "MergeScheduler") -> bool:
+    def _starved_slow(self, slow: list[int], sched: "MergeScheduler") -> bool:
         """True when some slow disk sits idle with blocks still on it.
 
         This is the only state extra eagerness can improve: a backlogged
@@ -372,11 +374,13 @@ class OverlapEngine:
         deepening the window then just raises ``M_R`` occupancy (more
         flushes, more re-reads) without feeding it any faster.
         """
-        return any(
-            self.net.disks[d].free_at <= self.now
-            and sched.fds.smallest_block_on_disk(d) is not None
-            for d in slow
-        )
+        fds = sched.fds
+        disks = self.net.disks
+        now = self.now
+        for d in slow:
+            if disks[d].free_at <= now and fds.has_blocks_on_disk(d):
+                return True
+        return False
 
     # -- read-ahead --------------------------------------------------------
 
@@ -392,13 +396,21 @@ class OverlapEngine:
         without the config: the fixed path issues exactly the same reads
         as before.
 
+        The merge pumps once per cycle (key range), but the inputs of
+        these decisions change far less often: the slow-disk
+        classification only on a disk request (it is cached between
+        them, see :meth:`ServiceEwma.slow_disks`), and a disk's
+        liveness only on a ``ParRead`` or flush (an O(1) count in the
+        forecasting structure).  A pump that finds the window full
+        therefore costs O(1) Python work and no numpy call.
+
         Returns the number of ``ParRead`` operations issued.
         """
         lat = self.latency
         if self.mode == "none" or (self._window <= 0 and lat is None):
             return 0
         window = self._window
-        slow: tuple[int, ...] = ()
+        slow: list[int] = []
         if lat is not None:
             slow = self._slow_with_blocks(sched)
             if slow and lat.depth_boost > 0 and self._starved_slow(slow, sched):

@@ -73,6 +73,8 @@ class ForecastStructure:
         # H[d, r]: key of chain head; _alive[d, r]: chain not exhausted.
         self._h = np.full((D, R), INF_I64, dtype=np.int64)
         self._alive = np.zeros((D, R), dtype=bool)
+        #: Live chains per disk: the row sums of ``_alive``.
+        self._live_on_disk = [0] * D
         for r in range(R):
             for d in range(D):
                 self._refresh(r, d)
@@ -96,20 +98,36 @@ class ForecastStructure:
     # -- H maintenance -----------------------------------------------------
 
     def _refresh(self, run: int, disk: int) -> None:
-        """Recompute ``H[disk, run]`` from the chain pointer."""
+        """Recompute ``H[disk, run]`` from the chain pointer.
+
+        The only place a chain's liveness flips, so it also keeps the
+        per-disk live-chain count.
+        """
         b = self.chain_head_block(run, disk)
+        was_alive = self._alive.item(disk, run)
         if b is None:
             self._h[disk, run] = INF_I64
             self._alive[disk, run] = False
+            if was_alive:
+                self._live_on_disk[disk] -= 1
         else:
             self._h[disk, run] = self._first_keys[run][b]
             self._alive[disk, run] = True
+            if not was_alive:
+                self._live_on_disk[disk] += 1
 
     def head_key(self, disk: int, run: int) -> float:
         """``H_i[j]`` — the FDS entry itself (:data:`INF` if exhausted)."""
         if not self._alive[disk, run]:
             return INF
         return int(self._h[disk, run])
+
+    def has_blocks_on_disk(self, disk: int) -> bool:
+        """True while *disk* holds an unfetched block of some run.
+
+        Equal to ``smallest_block_on_disk(disk) is not None``, in O(1).
+        """
+        return self._live_on_disk[disk] > 0
 
     def smallest_block_on_disk(self, disk: int) -> Optional[tuple[float, int, int]]:
         """The smallest block on *disk*: ``(key, run, block)`` or ``None``.

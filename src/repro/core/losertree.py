@@ -167,6 +167,14 @@ def merge_loop_cycles(
     ``compute``/``pump`` hooks, so the batched drain cannot be used.
     The chunk sequence (and therefore every engine clock advance) is
     identical to the heapq reference.
+
+    Residency is settled on a block's *first touch* only: the scheduler's
+    ``ensure_resident`` and the engine's ``wait_for`` run when the run's
+    offset is 0.  Where the heapq reference repeats them on every cycle,
+    the repeats are no-ops: a touched block is its run's leading block,
+    which no flush evicts, and its arrival and prefetch entries were
+    popped by the first ``wait_for`` (a resident block is never re-read,
+    so they do not come back).
     """
     job = sched.job
     R = job.n_runs
@@ -175,35 +183,43 @@ def merge_loop_cycles(
     tel = telemetry if telemetry is not None else TELEMETRY_OFF
     h_batch = tel.histogram(H_DRAIN_BATCH, batch_edges(system.block_size))
     m_cycles = tel.counter(MERGE_DRAIN_CYCLES)
+    # Per-cycle calls, bound once.
+    winner_key = tree.winner_key
+    runner_up_key = tree.runner_up_key
+    replace = tree.replace
+    leading = sched.leading
+    append = writer.append
+    observe = h_batch.observe
     cycles = 0
     while True:
-        key = tree.winner_key()
+        key = winner_key()
         if key == INF:
             break
         cycles += 1
         r = tree.winner
-        limit = tree.runner_up_key()
-        b = sched.leading[r]
-        sched.ensure_resident(r, b)
-        if eng is not None:
-            eng.wait_for(r, b)
-        data, pay = block_data[(r, b)]
+        limit = runner_up_key()
+        b = leading[r]
         off = offsets[r]
-        if validate and int(data[off]) != key:
+        if off == 0:
+            sched.ensure_resident(r, b)
+            if eng is not None:
+                eng.wait_for(r, b)
+        data, pay = block_data[(r, b)]
+        if validate and data.item(off) != key:
             raise ScheduleError(
-                f"merge tree desync: expected key {key}, found {int(data[off])}"
+                f"merge tree desync: expected key {key}, found {data.item(off)}"
             )
         if limit == INF:
             hi = data.size
         else:
-            hi = int(np.searchsorted(data, limit, side="left"))
+            hi = int(data.searchsorted(limit, "left"))
             if hi <= off:
                 # Duplicate keys across runs (key == limit): the
                 # (key, leaf) tie-break would hand the turn straight
                 # back to this run; consume the whole equal prefix.
-                hi = int(np.searchsorted(data, key, side="right"))
-        writer.append(data[off:hi], None if pay is None else pay[off:hi])
-        h_batch.observe(hi - off)
+                hi = int(data.searchsorted(key, "right"))
+        append(data[off:hi], None if pay is None else pay[off:hi])
+        observe(hi - off)
         if eng is not None:
             eng.compute(hi - off)
 
@@ -213,22 +229,22 @@ def merge_loop_cycles(
                 system.free(runs[r].addresses[b])
             sched.on_leading_depleted(r)
             offsets[r] = 0
-            if not sched.run_exhausted(r):
-                nb = sched.leading[r]
+            if sched.run_exhausted(r):
+                replace(INF)
+            else:
+                nb = leading[r]
                 if sched.is_resident(r, nb):
-                    tree.replace(int(block_data[(r, nb)][0][0]))
+                    replace(block_data[(r, nb)][0].item(0))
                 else:
                     fk = sched.fds.next_block_key_of_run(r)
                     if fk == NO_KEY or math.isinf(fk):
                         raise ScheduleError(
                             f"run {r} not exhausted but FDS sees no block"
                         )
-                    tree.replace(int(fk))
-            else:
-                tree.replace(INF)
+                    replace(int(fk))
         else:
             offsets[r] = hi
-            tree.replace(int(data[hi]))
+            replace(data.item(hi))
 
         if eng is not None:
             eng.pump(sched)

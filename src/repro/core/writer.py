@@ -35,6 +35,8 @@ from ..errors import DataError, ScheduleError
 from ..telemetry import TELEMETRY_OFF
 from ..telemetry.schema import H_WRITER_OCCUPANCY, writer_occupancy_edges
 
+_INT64 = np.dtype(np.int64)
+
 
 class RunWriter:
     """Accumulates merge output and writes a forecast-format striped run."""
@@ -58,7 +60,10 @@ class RunWriter:
         #: written (the overlap engine's write-behind hook).
         self.on_write = on_write
         D, B = system.n_disks, system.block_size
+        self._block_size = B
         self._stripe = D * B
+        #: |M_W| in records: a stripe drains once this many are buffered.
+        self._window = 2 * D * B
         #: Ring capacity: two M_W windows of 2·D·B records each.
         self._cap = 4 * D * B
         #: Ring storage, allocated on first append once the row count
@@ -84,33 +89,66 @@ class RunWriter:
     # -- ingest ----------------------------------------------------------
 
     def append(self, keys: np.ndarray, payloads: np.ndarray | None = None) -> None:
-        """Append a sorted slice of output records (with optional payloads)."""
+        """Append a sorted slice of output records (with optional payloads).
+
+        A slice that completes no stripe and lands in one piece (the
+        paced merge's typical one-record key range) is copied into the
+        ring with one store per row and returns at once; every check
+        below runs on that path too.
+        """
         if self._finalized:
             raise ScheduleError("append after finalize")
-        keys = np.asarray(keys, dtype=np.int64)
-        if keys.size == 0:
+        if type(keys) is not np.ndarray or keys.dtype is not _INT64:
+            keys = np.asarray(keys, dtype=np.int64)
+        n = keys.size
+        if n == 0:
             return
         rows = 1 if payloads is None else 2
-        if self._rows is None:
+        if self._rows != rows:
+            if self._rows is not None:
+                raise DataError(
+                    "payload presence must be consistent across appends"
+                )
             self._rows = rows
             self._buf = np.empty((rows, self._cap), dtype=np.int64)
-        elif self._rows != rows:
-            raise DataError("payload presence must be consistent across appends")
         if payloads is not None:
-            payloads = np.asarray(payloads, dtype=np.int64)
+            if type(payloads) is not np.ndarray or payloads.dtype is not _INT64:
+                payloads = np.asarray(payloads, dtype=np.int64)
             if payloads.shape != keys.shape:
                 raise DataError("payloads must align with keys")
-        if self._last_appended is not None and keys[0] < self._last_appended:
+        key0 = keys.item(0)
+        if self._last_appended is not None and key0 < self._last_appended:
             raise DataError("output records appended out of order")
-        self._last_appended = int(keys[-1])
-        self._n_records += keys.size
+        self._last_appended = keys.item(-1) if n > 1 else key0
+        self._n_records += n
 
         buf = self._buf
         cap = self._cap
-        window = 2 * self._stripe
+        tail = self._head + self._pending
+        if tail >= cap:
+            tail -= cap
+        pending = self._pending + n
+        if pending < self._window and tail + n <= cap:
+            # No stripe completes and the slice lands in one piece.
+            if n == 1:
+                # Most paced-merge key ranges are a single record; a
+                # scalar store is several times cheaper than a slice.
+                buf[0, tail] = key0
+                if payloads is not None:
+                    buf[1, tail] = payloads.item(0)
+            else:
+                buf[0, tail : tail + n] = keys
+                if payloads is not None:
+                    buf[1, tail : tail + n] = payloads
+            self._pending = pending
+            blocks = -(-pending // self._block_size)
+            if blocks > self.max_buffered_blocks:
+                self.max_buffered_blocks = blocks
+            return
+
+        window = self._window
         pos = 0
-        n = keys.size
-        B = self.system.block_size
+        B = self._block_size
         while pos < n:
             # Invariant on entry: _pending < 2·D·B, so at least one M_W
             # window of the ring is free.
@@ -134,7 +172,9 @@ class RunWriter:
         # High-water is measured after draining: a stripe is written the
         # instant it becomes writable, so M_W never holds more than 2D
         # blocks at rest.
-        self.max_buffered_blocks = max(self.max_buffered_blocks, -(-self._pending // B))
+        blocks = -(-self._pending // B)
+        if blocks > self.max_buffered_blocks:
+            self.max_buffered_blocks = blocks
 
     def _drain_stripe(self) -> None:
         """Write the stripe at the ring head (zero-copy views)."""

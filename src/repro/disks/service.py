@@ -35,7 +35,7 @@ class ServiceEwma:
     slow farm has no stragglers.
     """
 
-    __slots__ = ("alpha", "values", "samples")
+    __slots__ = ("alpha", "values", "samples", "_slow")
 
     def __init__(self, n_disks: int, alpha: float = 0.35) -> None:
         if n_disks < 1:
@@ -46,9 +46,13 @@ class ServiceEwma:
         #: EWMA per disk; ``None`` until the disk's first completion.
         self.values: list[float | None] = [None] * n_disks
         self.samples = [0] * n_disks
+        #: :meth:`slow_disks` results per threshold, valid until the
+        #: next :meth:`observe`.
+        self._slow: dict[float, tuple[int, ...]] = {}
 
     def observe(self, disk: int, service_ms: float) -> None:
         """Fold one completed request's service time into *disk*'s EWMA."""
+        self._slow.clear()
         prev = self.values[disk]
         if prev is None:
             self.values[disk] = service_ms
@@ -84,7 +88,18 @@ class ServiceEwma:
 
         Empty until at least two disks have completions: a single
         sampled disk has no peer group to straggle behind.
+
+        The classification changes only when an EWMA does, i.e. on
+        :meth:`observe` (one per disk request), while the overlap engine
+        asks on every merge cycle; so the tuple is cached per
+        *threshold* and :meth:`observe` drops the cache.
         """
+        slow = self._slow.get(threshold)
+        if slow is None:
+            slow = self._slow[threshold] = self._classify(threshold)
+        return slow
+
+    def _classify(self, threshold: float) -> tuple[int, ...]:
         if sum(1 for v in self.values if v is not None) < 2:
             return ()
         med = self.median()

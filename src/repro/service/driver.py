@@ -118,10 +118,9 @@ class JobDriver:
         return self.done
 
     def cancel(self) -> None:
-        """Cancel a parked, unfinished job and join its thread."""
-        if self.done:
-            return
-        self.gate.cancel()
+        """Cancel the job if it is still parked and join its thread."""
+        if not self.done:
+            self.gate.cancel()
         self._thread.join()
 
     def join(self) -> None:

@@ -180,29 +180,41 @@ class SortService:
         waiting: deque[ServiceJob] = deque()
         active: list[ServiceJob] = []
 
-        while pending or waiting or active:
-            now = self.system.elapsed_ms
-            self._admit_due(now, pending, waiting, active)
-            runnable = [j for j in active if not j.done]
-            if not runnable:
-                if pending:
-                    # Work-conserving: jump straight to the next arrival.
-                    self._idle_until(pending[0].spec.arrival_ms)
-                    continue
-                if waiting:
-                    raise ScheduleError(
-                        "admission deadlock: "
-                        f"{[j.job_id for j in waiting]} wait on frames/slots "
-                        "but no running job will ever release any"
-                    )
-                break  # everything done
+        try:
+            while pending or waiting or active:
+                now = self.system.elapsed_ms
+                self._admit_due(now, pending, waiting, active)
+                runnable = [j for j in active if not j.done]
+                if not runnable:
+                    if pending:
+                        # Work-conserving: jump straight to the next arrival.
+                        self._idle_until(pending[0].spec.arrival_ms)
+                        continue
+                    if waiting:
+                        raise ScheduleError(
+                            "admission deadlock: "
+                            f"{[j.job_id for j in waiting]} wait on frames/"
+                            "slots but no running job will ever release any"
+                        )
+                    break  # everything done
 
-            job = self.policy.select(runnable)  # phase 4
-            self._grant_round(job)  # phase 5
-            if job.done:
-                self._finish(job, active)
-            elif job.rounds >= abort_after.get(job.job_id, float("inf")):
-                self._abort(job, active, reason="abort_after threshold")
+                job = self.policy.select(runnable)  # phase 4
+                self._grant_round(job)  # phase 5
+                if job.done:
+                    self._finish(job, active)
+                elif job.rounds >= abort_after.get(job.job_id, float("inf")):
+                    self._abort(job, active, reason="abort_after threshold")
+        except BaseException as exc:
+            # Nothing admitted may outlive a failed run: cancel every
+            # other job's parked thread and hand back all frames and
+            # slots, the failing job's included.
+            for job in list(active):
+                if job.driver.error is exc:
+                    reason = f"{type(exc).__name__}: {exc}"
+                else:
+                    reason = f"service run failed: {type(exc).__name__}"
+                self._abort(job, active, reason=reason)
+            raise
 
         makespan = self.system.elapsed_ms
         if self.tracer is not None:

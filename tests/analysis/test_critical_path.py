@@ -24,7 +24,7 @@ from repro.baselines import dsm_sort
 from repro.core.config import DSMConfig
 from repro.cluster import ClusterConfig, cluster_sort
 from repro.core import SRMConfig, srm_sort
-from repro.core.config import OverlapConfig
+from repro.core.config import LatencyAwareConfig, OverlapConfig
 from repro.core.events import OverlapReport
 from repro.faults import FaultPlan, StallWindow
 from repro.telemetry import Telemetry
@@ -116,6 +116,37 @@ class TestExactness:
         assert "fault_stall" in kinds or "recovery" in kinds
         attr = combine_attribution(analyses.values())
         assert attr.get("stall", 0.0) + attr.get("recovery", 0.0) > 0.0
+
+    @pytest.mark.parametrize("plan", ["straggler", "stall"])
+    def test_latency_aware_overlap_exact(self, plan):
+        # The adaptive pump, its cached slow-disk classification and the
+        # cost-biased flushes run on the same clock as the trace: the
+        # critical path must still land on the makespan bit-exactly.
+        faults = {
+            "straggler": FaultPlan(latency_factors={1: 4.0}),
+            "stall": FaultPlan(
+                stalls=(
+                    StallWindow(disk=1, start_ms=5.0, duration_ms=60.0),
+                    StallWindow(disk=2, start_ms=200.0, duration_ms=40.0),
+                )
+            ),
+        }[plan]
+        keys = uniform_permutation(4000, rng=11)
+        tel = Telemetry(algo="srm")
+        col = tel.attach_trace()
+        _out, result = srm_sort(
+            keys, SRMConfig.from_k(4, 4, 32), rng=12,
+            overlap=OverlapConfig(
+                mode="full", prefetch_depth=2, latency=LatencyAwareConfig()
+            ),
+            telemetry=tel, faults=faults,
+        )
+        assert all(r.adaptive for r in result.overlap_reports)
+        analyses = assert_all_exact(col)
+        merge_doms = [d for d in analyses if d.startswith("merge")]
+        assert len(merge_doms) == len(result.overlap_reports)
+        attr = combine_attribution(analyses.values())
+        assert attr.get("stall", 0.0) > 0.0
 
     def test_combine_attribution_sums_domains(self):
         a = DomainAttribution(

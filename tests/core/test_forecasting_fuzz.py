@@ -6,7 +6,8 @@ smallest block of every run on every disk (Definition 2 verbatim).
 Random advance/push_back sequences must keep them identical, for the
 per-disk and per-chain queries as well as the one-``argmin`` queries
 the merger issues per ``ParRead`` (``smallest_blocks`` and
-``galloping_bound``).  Jobs whose keys pile up on ``INT64_MAX`` make the
+``galloping_bound``) and the O(1) liveness count the overlap engine asks
+on every merge cycle (``has_blocks_on_disk``).  Jobs whose keys pile up on ``INT64_MAX`` make the
 dead-chain filler tie live heads, the case those queries must resolve
 through the alive mask.
 """
@@ -142,3 +143,43 @@ class TestFDSFuzz:
         for disk in range(job.n_disks):
             for run in range(job.n_runs):
                 assert fds.head_key(disk, run) == ref.head_key(disk, run)
+
+    @given(args=job_and_ops())
+    @settings(max_examples=40, deadline=None)
+    def test_has_blocks_on_disk_tracks_liveness(self, args):
+        job, choices = args
+        fds = ForecastStructure(job)
+        read: list[tuple[int, int, int]] = []  # (run, block, disk)
+
+        def check():
+            for disk in range(job.n_disks):
+                assert fds.has_blocks_on_disk(disk) == (
+                    fds.smallest_block_on_disk(disk) is not None
+                )
+
+        check()
+        for c in choices:
+            op = c % 3
+            if op == 0:
+                # One disk's head (a single-chain advance).
+                disk = (c // 3) % job.n_disks
+                head = fds.smallest_block_on_disk(disk)
+                if head is not None:
+                    fds.advance(head[1], disk)
+                    read.append((head[1], head[2], disk))
+            elif op == 1:
+                # A whole ParRead.
+                reads = fds.smallest_blocks()
+                fds.advance_many(reads)
+                read.extend(reads)
+            elif read:
+                # Flush the latest-read block of some chain (LIFO per
+                # (run, disk), as the scheduler's suffix rule requires).
+                run, _block, disk = read[(c // 3) % len(read)]
+                i = max(
+                    i for i, (r2, _b, d2) in enumerate(read)
+                    if r2 == run and d2 == disk
+                )
+                _r, block, _d = read.pop(i)
+                fds.push_back(run, block)
+            check()

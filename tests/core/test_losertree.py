@@ -23,6 +23,8 @@ from repro.core.schedule import MergeScheduler
 from repro.disks import IOTrace, ParallelDiskSystem, StripedRun
 from repro.errors import ConfigError, ScheduleError
 from repro.workloads import uniform_keys, uniform_permutation
+from tests.core.test_events_golden import CONFIGS as GOLDEN_CONFIGS
+from tests.core.test_events_golden import paced_merge
 
 
 def build_runs(system, runs_keys, starts, payloads=None):
@@ -295,6 +297,20 @@ class TestMergerEquivalence:
                 res.heap_cycles,
             )
         assert reports["heapq"] == reports["losertree"]
+
+    @pytest.mark.parametrize("plan,depth", GOLDEN_CONFIGS)
+    def test_overlap_engine_uses_cycle_loop_latency_aware(self, plan, depth):
+        """Latency-aware, trace-armed: the full report, the schedule,
+        every trace record and the output records are identical."""
+        ref = paced_merge(plan, depth, merger="heapq")
+        got = paced_merge(plan, depth, merger="losertree")
+        assert got["report"] == ref["report"]
+        assert got["schedule"] == ref["schedule"]
+        assert len(got["records"]) == len(ref["records"])
+        for a, b in zip(got["records"], ref["records"]):
+            assert a == b
+        assert np.array_equal(got["keys"], ref["keys"])
+        assert np.array_equal(got["payloads"], ref["payloads"])
 
 
 class TestBatchedDrainGuards:

@@ -236,3 +236,90 @@ class TestRingBuffer:
         w.append(np.arange(4), np.arange(4))
         with pytest.raises(DataError):
             w.append(np.arange(4, 8))
+
+
+class TestContiguousFastPath:
+    """Small appends take a one-copy path; it must be invisible too."""
+
+    D, B = 3, 4
+
+    def _write(self, keys, payloads, sizes):
+        system = ParallelDiskSystem(self.D, self.B)
+        w = RunWriter(system, 0, 0)
+        pos = 0
+        for size in sizes:
+            w.append(keys[pos : pos + size], payloads[pos : pos + size])
+            pos += size
+        assert pos == keys.size
+        run = w.finalize()
+        blocks = [system.disks[a.disk].read(a.slot) for a in run.addresses]
+        return blocks, w.max_buffered_blocks
+
+    @pytest.mark.parametrize("pattern", ["single", "mixed"])
+    def test_small_appends_match_one_bulk_append(self, pattern):
+        D, B = self.D, self.B
+        # Several trips around the 4·D·B ring plus a ragged tail, so the
+        # small appends cross stripe ends, the ring wrap and a partial
+        # final stripe.
+        n = 4 * D * B * 3 + 5
+        keys = np.repeat(np.arange(n // 2 + 1, dtype=np.int64), 2)[:n]
+        payloads = np.arange(n, dtype=np.int64) * 7 - 3
+        if pattern == "single":
+            sizes = [1] * n
+        else:
+            rng = np.random.default_rng(5)
+            sizes = []
+            while sum(sizes) < n:
+                sizes.append(min(int(rng.integers(1, 2 * D * B)), n - sum(sizes)))
+        got, high = self._write(keys, payloads, sizes)
+        want, _ = self._write(keys, payloads, [n])
+        assert len(got) == len(want)
+        for x, y in zip(want, got):
+            assert np.array_equal(x.keys, y.keys)
+            assert np.array_equal(x.payloads, y.payloads)
+            assert x.forecast == y.forecast
+        if pattern == "single":
+            # A stripe is written the moment 2·D·B records are buffered,
+            # so one-record appends peak one record short of that.
+            assert high == -(-(2 * D * B - 1) // B) == 2 * D
+        assert high <= 2 * D
+
+    def _primed(self):
+        system = ParallelDiskSystem(self.D, self.B)
+        w = RunWriter(system, 0, 0)
+        w.append(np.array([5], dtype=np.int64), np.array([50], dtype=np.int64))
+        return w
+
+    def test_fast_path_rejects_out_of_order(self):
+        w = self._primed()
+        with pytest.raises(DataError, match="out of order"):
+            w.append(np.array([4], dtype=np.int64), np.array([0], dtype=np.int64))
+
+    def test_fast_path_rejects_misaligned_payloads(self):
+        w = self._primed()
+        with pytest.raises(DataError, match="align"):
+            w.append(np.array([6, 7], dtype=np.int64), np.array([0], dtype=np.int64))
+
+    def test_fast_path_rejects_missing_payloads(self):
+        w = self._primed()
+        with pytest.raises(DataError, match="consistent"):
+            w.append(np.array([6], dtype=np.int64))
+
+    def test_fast_path_rejects_append_after_finalize(self):
+        w = self._primed()
+        w.finalize()
+        with pytest.raises(ScheduleError, match="after finalize"):
+            w.append(np.array([6], dtype=np.int64), np.array([0], dtype=np.int64))
+
+    def test_non_int64_input_is_converted(self):
+        system = ParallelDiskSystem(self.D, self.B)
+        w = RunWriter(system, 0, 0)
+        w.append([1, 2, 3])
+        w.append(np.array([4, 5], dtype=np.int32))
+        w.append(np.array([6, 7], dtype=">i8"))
+        run = w.finalize()
+        out = np.concatenate(
+            [system.disks[a.disk].read(a.slot).keys for a in run.addresses]
+        )
+        assert out.dtype == np.int64
+        assert np.array_equal(out, np.arange(1, 8))

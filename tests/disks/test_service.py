@@ -199,6 +199,27 @@ class TestServiceEwma:
             u.observe(d, 500.0)
         assert u.slow_disks(1.25) == ()
 
+    def test_slow_disks_cache_dropped_by_observe(self):
+        e = ServiceEwma(3, alpha=1.0)
+        for d, v in enumerate((10.0, 10.0, 40.0)):
+            e.observe(d, v)
+        assert e.slow_disks(1.25) == (2,)
+        assert e.slow_disks(1.25) == (2,)  # served from the cache
+        e.observe(2, 10.0)  # disk 2 recovers
+        assert e.slow_disks(1.25) == ()
+        e.observe(0, 100.0)  # disk 0 turns slow
+        assert e.slow_disks(1.25) == (0,)
+
+    def test_slow_disks_cache_keyed_by_threshold(self):
+        e = ServiceEwma(3)
+        for d, v in enumerate((10.0, 10.0, 20.0)):
+            e.observe(d, v)
+        assert e.slow_disks(1.25) == (2,)
+        assert e.slow_disks(3.0) == ()
+        assert e.slow_disks(1.25) == (2,)
+        assert e.slow_disks(1.9) == (2,)
+        assert e.slow_disks(2.0) == ()
+
     def test_bad_config_rejected(self):
         with pytest.raises(ConfigError):
             ServiceEwma(0)

@@ -9,6 +9,7 @@ and per-tenant attribution tiling the service makespan.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from repro.service import (
     TenantSpec,
     run_arrival_script,
 )
+from repro.service import driver as driver_mod
 from repro.service.jobs import ABORTED, COMPLETED, REJECTED
 from repro.service.report import solo_reference
 from repro.telemetry import Telemetry
@@ -193,6 +195,45 @@ class TestRejectAndAbort:
         # ...and the neighbor is untouched.
         assert survivor.state == COMPLETED
         assert result.verify_against_solo() == []
+
+    def test_failing_job_releases_every_job(self, monkeypatch):
+        # A job whose sort raises must not strand its neighbours: their
+        # threads are cancelled and every frame and slot comes back.
+        real_sort = driver_mod.sort_records_on_system
+
+        def sort_or_fail(system, keys, config, rng=None, **kwargs):
+            if rng == 2 + 1:  # spec_for seeds "leak-j1" with seed + 1
+                raise RuntimeError("injected job failure")
+            return real_sort(system, keys, config, rng=rng, **kwargs)
+
+        monkeypatch.setattr(driver_mod, "sort_records_on_system", sort_or_fail)
+        svc = SortService(
+            ServiceConfig(
+                base_config=CFG,
+                tenants=(
+                    TenantSpec("t0", default_jobs=2),
+                    TenantSpec("t1", default_jobs=2),
+                ),
+                max_slots=8,
+            )
+        )
+        jobs = [
+            svc.submit(spec_for(f"leak-j{i}", f"t{i % 2}", 400, seed=i + 1))
+            for i in range(3)
+        ]
+        with pytest.raises(RuntimeError, match="injected job failure"):
+            svc.run()
+        alive = [
+            t.name for t in threading.enumerate()
+            if t.name.startswith("sort-job-leak-") and t.is_alive()
+        ]
+        assert alive == []
+        for tenant in svc.pool.tenants:
+            assert svc.pool.partition(tenant).reserved_frames == 0
+        assert svc.admission.slots_in_use == 0
+        assert all(j.state == ABORTED for j in jobs)
+        assert all(j.reserved_frames == 0 and j.slot is None for j in jobs)
+        assert "injected job failure" in jobs[1].error
 
     def test_freed_quota_unblocks_waiter_after_abort(self):
         frames = spec_for("probe", "t0", 10, 0).frames_needed
