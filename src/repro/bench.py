@@ -8,7 +8,8 @@ implementations and *proves equivalence while doing so*:
   loop).  Identical output records, per-merge :class:`ScheduleStats`,
   and disk-system I/O counters are asserted on every run.
 * **run formation** — replacement selection with ``engine="block"``
-  (array-at-a-time) vs. ``engine="record"`` (the heap oracle).
+  (array-at-a-time) vs. ``engine="record"`` (the heap oracle), on
+  uniform keys at B=64 and on Zipf keys with payloads at B=1024.
   Identical run contents and I/O counters are asserted.
 * **writer** — :class:`~repro.core.writer.RunWriter` ring-buffer
   streaming throughput (no alternate implementation; tracked so
@@ -52,7 +53,7 @@ from .telemetry.schema import (
     SCHED_MERGE_PARREADS,
     SCHEMA_VERSION,
 )
-from .workloads import uniform_permutation
+from .workloads import uniform_permutation, zipf_keys
 
 #: Default scales: quick mode for CI smoke, full mode for the committed
 #: report (full-mode run formation uses M >= 1e5 per the target spec).
@@ -60,6 +61,7 @@ QUICK = {
     "merge_records": 20_000,
     "rs_records": 30_000,
     "rs_memory": 10_000,
+    "rs_zipf_records": 150_000,
     "writer_records": 200_000,
     "adaptive_records": 12_000,
 }
@@ -67,6 +69,7 @@ FULL = {
     "merge_records": 200_000,
     "rs_records": 300_000,
     "rs_memory": 100_000,
+    "rs_zipf_records": 750_000,
     "writer_records": 2_000_000,
     "adaptive_records": 40_000,
 }
@@ -159,14 +162,26 @@ def bench_merge(n_records: int, k: int = 4, n_disks: int = 4,
 
 def bench_run_formation(n_records: int, memory_records: int,
                         n_disks: int = 4, block_size: int = 64,
-                        seed: int = 5) -> dict:
-    """Time replacement selection with both engines; assert equivalence."""
-    keys = uniform_permutation(n_records, rng=seed)
+                        seed: int = 5, zipf_payload: bool = False) -> dict:
+    """Time replacement selection with both engines; assert equivalence.
+
+    The input is a uniform permutation, or with *zipf_payload* Zipf keys
+    (alpha 1.2 over 200k values, dup-heavy) carrying random payloads.
+    Run contents (keys, payloads, disks) and I/O counts must match.
+    """
+    payloads = None
+    if zipf_payload:
+        gen = np.random.default_rng(seed)
+        keys = zipf_keys(n_records, 1.2, 200_000, rng=gen)
+        info = np.iinfo(np.int64)
+        payloads = gen.integers(info.min, info.max, n_records, dtype=np.int64)
+    else:
+        keys = uniform_permutation(n_records, rng=seed)
     out: dict[str, dict] = {}
     baseline: dict[str, Any] = {}
     for engine in ("record", "block"):
         system = ParallelDiskSystem(n_disks, block_size)
-        infile = StripedFile.from_records(system, keys)
+        infile = StripedFile.from_records(system, keys, payloads=payloads)
         before = system.stats.snapshot()
         wall, runs = _time(
             lambda s=system, f=infile, e=engine: form_runs_replacement_selection(
@@ -175,13 +190,15 @@ def bench_run_formation(n_records: int, memory_records: int,
             )
         )
         io = _io_tuple(system.stats.since(before))
-        contents = [
-            tuple(
-                system.disks[a.disk].read(a.slot).keys.tobytes()
-                for a in r.addresses
-            )
-            for r in runs
-        ]
+        contents = []
+        for r in runs:
+            for a in r.addresses:
+                blk = system.disks[a.disk].read(a.slot)
+                contents.append((
+                    a.disk,
+                    blk.keys.tobytes(),
+                    None if blk.payloads is None else blk.payloads.tobytes(),
+                ))
         if not baseline:
             baseline = {"io": io, "contents": contents, "n_runs": len(runs)}
         else:
@@ -200,6 +217,7 @@ def bench_run_formation(n_records: int, memory_records: int,
     out["params"] = {
         "n_records": n_records, "memory_records": memory_records,
         "n_disks": n_disks, "block_size": block_size, "seed": seed,
+        "keys": "zipf+payload" if zipf_payload else "uniform",
     }
     out["io_equivalent"] = True
     return out
@@ -718,6 +736,12 @@ def run_benchmarks(quick: bool = False) -> dict:
         "run_formation": bench_run_formation(
             scale["rs_records"], scale["rs_memory"]
         ),
+        # The perfbench b1024_zipf_payload geometry: D=4, B=1024, k=4.
+        "run_formation_zipf": bench_run_formation(
+            scale["rs_zipf_records"],
+            SRMConfig.from_k(4, 4, 1024).memory_records,
+            block_size=1024, zipf_payload=True,
+        ),
         "writer": bench_writer(scale["writer_records"]),
         "telemetry": bench_telemetry(scale["merge_records"]),
         "tracing": bench_tracing(scale["merge_records"]),
@@ -770,6 +794,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"run formation    block {rs['block']['records_per_sec']:>10,} rec/s"
           f"  record {rs['record']['records_per_sec']:>10,} rec/s"
           f"  speedup {rs['speedup']:.2f}x")
+    rz = report["run_formation_zipf"]
+    print(f"  zipf+payload   block {rz['block']['records_per_sec']:>10,} rec/s"
+          f"  record {rz['record']['records_per_sec']:>10,} rec/s"
+          f"  speedup {rz['speedup']:.2f}x")
     print(f"writer        {report['writer']['records_per_sec']:>10,} rec/s")
     t = report["telemetry"]
     print(f"telemetry     enable overhead {t['enable_overhead_frac']*100:+.1f}%"

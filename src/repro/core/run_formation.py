@@ -12,13 +12,15 @@ Two classical methods are provided:
 
 Replacement selection ships two engines that produce *identical* runs:
 
-* ``engine="block"`` (default) — block-granular: each refilled input
-  block is classified against the next ``m`` pending emissions with one
-  vectorized compare (current epoch vs. next epoch), the emissions leave
-  as one array slice, and accepted records merge back array-at-a-time.
-  A per-record fallback handles the rare steps where an accepted record
-  would itself be emitted inside the same block or the epoch flips
-  mid-block, so the output is exactly the classical algorithm's.
+* ``engine="block"`` (default) — block-granular: each input refill
+  commits in one vectorized *fixed-point step* per epoch it touches.
+  The arrivals are classified (current epoch vs. next epoch) against
+  the pending emissions, the emissions are recomputed as a stable merge
+  of the pool with the accepted arrivals, and the two repeat until the
+  accepted set stops growing — which is exactly the classical
+  algorithm's answer (see :class:`_BlockReplacementSelection`).  The
+  emissions leave as one array slice and the accepted records merge
+  back array-at-a-time.
 * ``engine="record"`` — the textbook per-record heap loop, kept as the
   reference oracle for tests and the benchmark baseline.
 
@@ -56,7 +58,7 @@ def _start_disk_stream(
             yield int(gen.integers(0, n_disks))
         elif strategy is LayoutStrategy.WORST_CASE:
             yield 0
-        else:  # STAGGERED / ROUND_ROBIN degenerate to cycling at stream time
+        else:  # STAGGERED needs the run count: round-robin, like ROUND_ROBIN
             yield i % n_disks
         i += 1
 
@@ -140,6 +142,11 @@ def form_runs_replacement_selection(
     *engine* selects the implementation: ``"block"`` (vectorized,
     block-granular — the default) or ``"record"`` (the per-record heap
     oracle).  Both emit byte-identical runs and charge identical I/O.
+
+    Start disks are drawn as each run is written, before the run count
+    is known, so ``LayoutStrategy.STAGGERED`` (whose §8 groups need
+    that count) degrades to round-robin here: run ``r`` starts on disk
+    ``r mod D``, exactly as under ``ROUND_ROBIN``.
     """
     if memory_records < 1:
         raise ConfigError(f"memory must hold at least 1 record, got {memory_records}")
@@ -272,9 +279,73 @@ def _replacement_selection_record(
     return runs
 
 
-#: Blocks at or below this size replay per-record when the vectorized
-#: step cannot apply (interference / epoch flip); larger blocks bisect.
-_LEAF = 32
+def _stable_argsort(keys: np.ndarray) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")``, about 4x faster when it can be.
+
+    When the key span leaves room for the index in an int64, the
+    composite ``(key - min) << bits | index`` is unique, so an unstable
+    sort of it orders by ``(key, index)`` — the stable order.
+    """
+    if keys.size < 2:
+        return np.arange(keys.size)
+    lo = keys.min()
+    bits = (keys.size - 1).bit_length()
+    if (int(keys.max()) - int(lo)) >> (62 - bits):
+        return np.argsort(keys, kind="stable")
+    packed = ((keys - lo) << bits) | np.arange(keys.size)
+    packed.sort()
+    return packed & ((1 << bits) - 1)
+
+
+def _merge_positions(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Where *new*'s records land in the stable merge of two sorted arrays.
+
+    Both arrays are sorted by ``(key, arrival)`` and every record of
+    *new* arrived after every record of *old*, so equal keys slot after
+    *old*'s (``side="right"``) — the heap's FIFO tie-break.
+    """
+    return old.searchsorted(new, side="right") + np.arange(new.size)
+
+
+def _interleave(old: np.ndarray, new: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """The merge of *old* and *new*, given *new*'s merged positions *pos*."""
+    if pos.size == 0:
+        return old
+    out = np.empty(old.size + new.size, dtype=old.dtype)
+    rest = np.ones(out.size, dtype=bool)
+    rest[pos] = False
+    out[pos] = new
+    out[rest] = old
+    return out
+
+
+#: Merge rounds after which a step classifies its arrivals per record.
+#: Rounds add accepted arrivals in chains: a dense ascending refill
+#: landing in the gaps of a sparse pool gains about one per round.
+_MAX_ROUNDS = 32
+
+
+def _replay_accepted(xk: np.ndarray, pk: np.ndarray) -> np.ndarray:
+    """The accepted-arrival mask of one step, replayed per record.
+
+    *pk* is the step's pool prefix (its ``k`` next emissions if nothing
+    were accepted).  A heap holds the accepted arrivals; the pool is
+    older, so it wins key ties.
+    """
+    mask = np.zeros(xk.size, dtype=bool)
+    heap: list[tuple[int, int]] = []
+    pool = pk.tolist()
+    i = 0
+    for t, x in enumerate(xk.tolist()):
+        if heap and heap[0][0] < pool[i]:
+            e = heapq.heappop(heap)[0]
+        else:
+            e = pool[i]
+            i += 1
+        if x >= e:
+            mask[t] = True
+            heapq.heappush(heap, (x, t))
+    return mask
 
 
 class _BlockReplacementSelection:
@@ -288,18 +359,31 @@ class _BlockReplacementSelection:
     accumulates in arrival order and is stably sorted once per run
     boundary.
 
-    While input remains, every arriving record pairs with exactly one
-    emission, so an arriving block of ``m`` records pairs with the next
-    ``m`` emissions — the ``m`` smallest of ``cur ∪ acc``, obtained by
-    one stable argsort of two ``m``-slices.  When none of the block's
-    accepted records sorts strictly below the ``m``-th of those
-    emissions (the common case: that requires landing among the ``m``
-    smallest of ``M`` resident records), the whole block commits
-    vectorized: emissions leave as array slices, accepted records merge
-    into ``acc`` with one ``searchsorted`` + ``insert`` (bounded by the
-    fold threshold, not ``M``), and rejects append to the next epoch.
-    Otherwise the block *bisects*; only :data:`_LEAF`-sized pieces ever
-    replay record-by-record, bit-identically to the heap oracle.
+    While input remains, every arriving record ``x_t`` pairs with
+    exactly one emission ``e_t`` and stays in the current epoch iff
+    ``x_t >= e_t``.  A refill commits as *prefix steps* of ``k =
+    min(remaining, avail)`` arrivals, each one vectorized *fixed-point
+    step* (:meth:`_step`): classify the arrivals against the pool-only
+    next ``k`` emissions ``e⁰``, recompute the emissions as the first
+    ``k`` of the stable merge of that pool prefix with the accepted
+    arrivals, re-classify, and repeat until the accepted set stops
+    growing.  The fixed point is exact:
+
+    * within an epoch the emissions are the sorted order of pool ∪
+      accepted, since each accepted arrival sorts after its own
+      emission and so after every earlier one;
+    * adding accepted records only lowers order statistics, so each
+      round's accepted set is a subset of the true one and grows;
+    * the first index where the fixed point could differ from the truth
+      has an emission that depends only on earlier, already-correct
+      indexes — so no such index exists.
+
+    Usually no accepted arrival sorts below ``e⁰[k-1]``, and the step
+    commits after the first classification without a merge; most other
+    steps converge in one to three rounds.  A step still growing after
+    :data:`_MAX_ROUNDS` rounds classifies per record instead.  When the
+    current epoch drains (``avail == 0``) the run closes and the next
+    epoch is promoted before the following step.
     """
 
     def __init__(
@@ -363,7 +447,7 @@ class _BlockReplacementSelection:
         self._close_run()
         if self.nxt_k:
             keys = np.concatenate(self.nxt_k)
-            order = np.argsort(keys, kind="stable")  # arrival order = seq
+            order = _stable_argsort(keys)  # arrival order = seq
             self.cur_k = keys[order]
             if self.has_payloads:
                 self.cur_p = np.concatenate(self.nxt_p)[order]
@@ -384,170 +468,100 @@ class _BlockReplacementSelection:
         return (self.cur_k.size - self.ci) + (self.acc_k.size - self.ai)
 
     def _fold(self) -> None:
-        """Merge the accepted side-array into the current pool.
-
-        Stable concat order (cur first) keeps the FIFO tie-break: for
-        equal keys, older ``cur`` records precede newer ``acc`` ones.
-        """
-        keys = np.concatenate([self.cur_k[self.ci :], self.acc_k[self.ai :]])
-        order = np.argsort(keys, kind="stable")
-        self.cur_k = keys[order]
+        """Merge the accepted side-array into the current pool."""
+        ck, ak = self.cur_k[self.ci :], self.acc_k[self.ai :]
+        pos = _merge_positions(ck, ak)
+        self.cur_k = _interleave(ck, ak, pos)
         if self.has_payloads:
-            self.cur_p = np.concatenate(
-                [self.cur_p[self.ci :], self.acc_p[self.ai :]]
-            )[order]
+            self.cur_p = _interleave(
+                self.cur_p[self.ci :], self.acc_p[self.ai :], pos
+            )
         self.ci = 0
         self.acc_k = np.empty(0, dtype=np.int64)
         self.acc_p = np.empty(0, dtype=np.int64) if self.has_payloads else None
         self.ai = 0
 
     def _append_accepted(self, keys: np.ndarray, pays: np.ndarray | None) -> None:
-        """Merge newly accepted records (sorted by key, arrival) into ``acc``.
-
-        Arrivals are newer than everything pending, so equal keys slot
-        *after* existing ones (``side="right"``) — the heap's FIFO
-        tie-break.
-        """
+        """Merge newly accepted records (sorted by key, arrival) into ``acc``."""
         rest = self.acc_k[self.ai :]
-        pos = np.searchsorted(rest, keys, side="right")
-        self.acc_k = np.insert(rest, pos, keys)
+        pos = _merge_positions(rest, keys)
+        self.acc_k = _interleave(rest, keys, pos)
         if self.has_payloads:
-            self.acc_p = np.insert(self.acc_p[self.ai :], pos, pays)
+            self.acc_p = _interleave(self.acc_p[self.ai :], pays, pos)
         self.ai = 0
         if self.acc_k.size > self._fold_at:
             self._fold()
 
-    def _next_emissions(
-        self, m: int
-    ) -> tuple[np.ndarray, np.ndarray | None, int, int]:
-        """The next ``m`` emissions of the current epoch (needs avail >= m).
-
-        Returns ``(keys, payloads, from_cur, from_acc)``.  A stable
-        argsort over the two sorted ``m``-slices (cur first) realizes
-        the (key, arrival) emission order.
-        """
-        c = self.cur_k[self.ci : self.ci + m]
-        a = self.acc_k[self.ai : self.ai + m]
-        if a.size == 0:
-            pays = self.cur_p[self.ci : self.ci + m] if self.has_payloads else None
-            return c, pays, m, 0
-        if c.size == 0:
-            pays = self.acc_p[self.ai : self.ai + m] if self.has_payloads else None
-            return a, pays, 0, m
-        cat = np.concatenate([c, a])
-        order = np.argsort(cat, kind="stable")[:m]
-        keys = cat[order]
-        from_cur = int((order < c.size).sum())
-        pays = None
-        if self.has_payloads:
-            pays = np.concatenate(
-                [
-                    self.cur_p[self.ci : self.ci + m],
-                    self.acc_p[self.ai : self.ai + m],
-                ]
-            )[order]
-        return keys, pays, from_cur, m - from_cur
-
     # -- block processing -------------------------------------------------
 
     def _process(self, xk: np.ndarray, xp: np.ndarray | None) -> None:
-        """Process an arriving slice: vectorized, bisecting on conflict."""
-        m = xk.size
-        if m == 0:
-            return
-        if self._avail() >= m:
-            keys, pays, from_cur, from_acc = self._next_emissions(m)
-            mask = xk >= keys
-            acc_k = xk[mask]
-            # Interference: an accepted arrival strictly below the m-th
-            # emission would itself be emitted within this slice (an
-            # equal key loses the FIFO tie and stays resident).
-            if not (acc_k.size and bool((acc_k < keys[-1]).any())):
-                self.out_k.append(keys)
-                if self.has_payloads:
-                    self.out_p.append(pays)
-                self.ci += from_cur
-                self.ai += from_acc
-                if acc_k.size:
-                    order = np.argsort(acc_k, kind="stable")
-                    self._append_accepted(
-                        acc_k[order],
-                        xp[mask][order] if self.has_payloads else None,
-                    )
-                rej = ~mask
-                if rej.any():
-                    self.nxt_k.append(xk[rej])
-                    if self.has_payloads:
-                        self.nxt_p.append(xp[rej])
-                return
-        if m <= _LEAF:
-            self._process_leaf(xk, xp)
-        else:
-            # Bisect: interference is quadratically rarer in half-sized
-            # slices, so conflicts narrow down to _LEAF-sized replays.
-            h = m // 2
-            self._process(xk[:h], None if xp is None else xp[:h])
-            self._process(xk[h:], None if xp is None else xp[h:])
-
-    def _process_leaf(self, xk: np.ndarray, xp: np.ndarray | None) -> None:
-        """Per-record replay of one leaf (interference / epoch flip)."""
-        # Accepted-but-unemitted arrivals from this leaf: a heap of
-        # (key, index) — the index doubles as the FIFO tie-break and the
-        # payload handle.  On key ties, cur beats acc beats leaf heap
-        # (strictly oldest-first, matching the oracle's sequence order).
-        heap: list[tuple[int, int]] = []
-        emit_k: list[int] = []
-        emit_p: list[int] = []
-
-        def flush_emitted() -> None:
-            if emit_k:
-                self.out_k.append(np.asarray(emit_k, dtype=np.int64))
-                if self.has_payloads:
-                    self.out_p.append(np.asarray(emit_p, dtype=np.int64))
-                emit_k.clear()
-                emit_p.clear()
-
-        for i in range(xk.size):
-            if self._avail() == 0 and not heap:
-                # Current epoch exhausted: run boundary mid-stream.
-                flush_emitted()
+        """Commit an input refill as prefix steps of at most ``avail``."""
+        while xk.size:
+            avail = self._avail()
+            if avail == 0:
+                # Current epoch exhausted: run boundary mid-refill.
                 self._promote_next_epoch()
-            key = None
-            src = -1
-            if self.ci < self.cur_k.size:
-                key = int(self.cur_k[self.ci])
-                src = 0
-            if self.ai < self.acc_k.size:
-                k2 = int(self.acc_k[self.ai])
-                if key is None or k2 < key:
-                    key, src = k2, 1
-            if heap and (key is None or heap[0][0] < key):
-                key, src = heap[0][0], 2
-            if src == 0:
-                pay = int(self.cur_p[self.ci]) if self.has_payloads else 0
-                self.ci += 1
-            elif src == 1:
-                pay = int(self.acc_p[self.ai]) if self.has_payloads else 0
-                self.ai += 1
-            else:
-                key, j = heapq.heappop(heap)
-                pay = int(xp[j]) if self.has_payloads else 0
-            emit_k.append(key)
-            emit_p.append(pay)
-            x = int(xk[i])
-            if x >= key:
-                heapq.heappush(heap, (x, i))
-            else:
-                self.nxt_k.append(xk[i : i + 1])
-                if self.has_payloads:
-                    self.nxt_p.append(xp[i : i + 1])
-        flush_emitted()
-        if heap:
-            heap.sort()  # (key, arrival) — already the FIFO merge order
-            idx = np.asarray([j for _, j in heap], dtype=np.int64)
+                avail = self._avail()
+            k = min(xk.size, avail)
+            self._step(xk[:k], None if xp is None else xp[:k])
+            xk = xk[k:]
+            xp = None if xp is None else xp[k:]
+
+    def _step(self, xk: np.ndarray, xp: np.ndarray | None) -> int:
+        """Commit ``k <= avail`` arrivals at the fixed point (class docstring).
+
+        Returns the number of merge rounds taken: 0 when the first
+        classification is already the fixed point.
+        """
+        k = xk.size
+        ci, ai = self.ci, self.ai
+        # Pool prefix e⁰: the next k emissions if nothing were accepted.
+        ck = self.cur_k[ci : ci + k]
+        ak = self.acc_k[ai : ai + k]
+        a_pos = _merge_positions(ck, ak)
+        pk = _interleave(ck, ak, a_pos)[:k]
+        mask = xk >= pk
+        ek = pk
+        x_pos = a_pos[:0]  # no arrival is emitted within the step
+        rounds = 0
+        order = _stable_argsort(xk)
+        if (xk[mask] < pk[-1]).any():
+            # An accepted arrival is itself emitted in this step (an
+            # equal key loses the FIFO tie and stays resident): iterate.
+            xs = xk[order]
+            while True:
+                rounds += 1
+                xa = xs[mask[order]]
+                x_pos = _merge_positions(pk, xa)
+                ek = _interleave(pk, xa, x_pos)[:k]
+                grown = xk >= ek
+                if np.count_nonzero(grown) == xa.size:
+                    break
+                mask = _replay_accepted(xk, pk) if rounds == _MAX_ROUNDS else grown
+        took = order[mask[order]]  # accepted arrivals, by (key, arrival)
+        # j accepted arrivals leave at once; the pool supplies the rest,
+        # a prefix of pk that splits into a cur prefix and an acc prefix.
+        j = int(x_pos.searchsorted(k))
+        from_acc = int(a_pos.searchsorted(k - j))
+        self.ci = ci + k - j - from_acc
+        self.ai = ai + from_acc
+        self.out_k.append(ek)
+        if self.has_payloads:
+            pp = _interleave(
+                self.cur_p[ci : ci + k], self.acc_p[ai : ai + k], a_pos
+            )[:k]
+            self.out_p.append(_interleave(pp, xp[took], x_pos)[:k])
+        if took.size > j:
+            rest = took[j:]
             self._append_accepted(
-                xk[idx], xp[idx] if self.has_payloads else None
+                xk[rest], xp[rest] if self.has_payloads else None
             )
+        rej = ~mask
+        if rej.any():
+            self.nxt_k.append(xk[rej])
+            if self.has_payloads:
+                self.nxt_p.append(xp[rej])
+        return rounds
 
     # -- driver -----------------------------------------------------------
 
@@ -584,7 +598,7 @@ class _BlockReplacementSelection:
         keys = (
             np.concatenate(parts_k) if parts_k else np.empty(0, dtype=np.int64)
         )
-        order = np.argsort(keys, kind="stable")
+        order = _stable_argsort(keys)
         self.cur_k = keys[order]
         if self.has_payloads:
             self.cur_p = np.concatenate(parts_p)[order]

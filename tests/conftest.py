@@ -4,6 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+#: A longer search for tests that leave ``max_examples`` to the profile
+#: (the replacement-selection engine differential test); select it with
+#: ``--hypothesis-profile=long``.  Tier-1 runs the default profile.
+settings.register_profile("long", max_examples=600, deadline=None)
 
 
 @pytest.fixture

@@ -4,14 +4,83 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     LayoutStrategy,
     form_runs_load_sort,
     form_runs_replacement_selection,
 )
+from repro.core.run_formation import _MAX_ROUNDS, _BlockReplacementSelection
 from repro.disks import ParallelDiskSystem, StripedFile
 from repro.errors import ConfigError
+from repro.workloads import zipf_keys
+
+INT64 = np.iinfo(np.int64)
+
+#: Key shapes for the engine differential test.  Sawtooth and up-down
+#: inputs follow Bender et al., *Run Generation Revisited*; "chain" is
+#: a sparse sorted prefix followed by a dense ascending stream landing
+#: in its gaps, where the fixed point gains about one arrival per round.
+KEY_KINDS = (
+    "uniform", "equal", "zipf", "sorted", "reverse", "sawtooth", "updown",
+    "extremes", "chain",
+)
+
+
+def generated_keys(kind: str, n: int, memory: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    period = int(rng.integers(1, 300))
+    t = np.arange(n)
+    if kind == "uniform":
+        keys = rng.integers(-(10**9), 10**9, n)
+    elif kind == "equal":
+        keys = np.full(n, int(rng.integers(-5, 5)))
+    elif kind == "zipf":
+        keys = zipf_keys(n, 1.2, 200_000, rng=rng)
+    elif kind == "sorted":
+        keys = t
+    elif kind == "reverse":
+        keys = t[::-1]
+    elif kind == "sawtooth":
+        keys = t % period
+    elif kind == "updown":
+        phase = t % (2 * period)
+        keys = np.where(phase < period, phase, 2 * period - phase)
+    elif kind == "extremes":
+        keys = rng.choice(
+            np.array([INT64.min, INT64.min + 1, -1, 0, 1, INT64.max - 1, INT64.max]),
+            n,
+        )
+    else:  # chain
+        keys = np.concatenate([np.arange(memory) * period, np.arange(1, n + 1)])[:n]
+    return np.ascontiguousarray(keys, dtype=np.int64)
+
+
+def spy_engine(monkeypatch) -> list[tuple]:
+    """Log the block engine's refills, steps (with rounds) and promotions."""
+    log: list[tuple] = []
+    cls = _BlockReplacementSelection
+    process, step, promote = cls._process, cls._step, cls._promote_next_epoch
+
+    def spy_process(self, xk, xp):
+        log.append(("refill", xk.size))
+        process(self, xk, xp)
+
+    def spy_step(self, xk, xp):
+        rounds = step(self, xk, xp)
+        log.append(("step", rounds))
+        return rounds
+
+    def spy_promote(self):
+        log.append(("promote",))
+        promote(self)
+
+    monkeypatch.setattr(cls, "_process", spy_process)
+    monkeypatch.setattr(cls, "_step", spy_step)
+    monkeypatch.setattr(cls, "_promote_next_epoch", spy_promote)
+    return log
 
 
 def make_input(D=4, B=4, n=200, seed=0):
@@ -125,6 +194,20 @@ class TestReplacementSelection:
         with pytest.raises(ConfigError):
             form_runs_replacement_selection(system, infile, memory_records=0)
 
+    @pytest.mark.parametrize("engine", ["block", "record"])
+    def test_staggered_start_disks_are_round_robin(self, engine):
+        # The run count is unknown while runs are written, so §8's
+        # staggered groups cannot be formed: run r starts on r mod D.
+        D = 3
+        system = ParallelDiskSystem(D, 4)
+        keys = np.arange(400)[::-1].copy()
+        infile = StripedFile.from_records(system, keys)
+        runs = form_runs_replacement_selection(
+            system, infile, 40, strategy=LayoutStrategy.STAGGERED, engine=engine
+        )
+        assert len(runs) == 10
+        assert [r.start_disk for r in runs] == [r % D for r in range(10)]
+
     def test_produces_fewer_runs_than_load_sort(self):
         # The paper's §2.1 point: replacement selection halves the runs.
         sys_a, _, file_a = make_input(n=2000, seed=11)
@@ -203,6 +286,58 @@ class TestReplacementSelectionEngines:
     def test_memory_larger_than_input(self):
         keys = np.random.default_rng(4).permutation(100).astype(np.int64)
         self._assert_engines_agree(keys, 5_000)
+
+    @given(
+        n=st.integers(1, 4_000),
+        memory=st.integers(1, 600),
+        n_disks=st.integers(1, 4),
+        block_size=st.integers(1, 40),
+        kind=st.sampled_from(KEY_KINDS),
+        with_payloads=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(deadline=None)
+    def test_engines_agree_on_generated_inputs(
+        self, n, memory, n_disks, block_size, kind, with_payloads, seed
+    ):
+        keys = generated_keys(kind, n, memory, seed)
+        payloads = None
+        if with_payloads:
+            payloads = np.random.default_rng(seed + 1).integers(
+                INT64.min, INT64.max, n, dtype=np.int64
+            )
+        self._assert_engines_agree(
+            keys, memory, payloads=payloads, D=n_disks, B=block_size
+        )
+
+    @pytest.mark.parametrize("chain, replayed", [(8, False), (64, True)])
+    def test_fixed_point_rounds(self, monkeypatch, chain, replayed):
+        # A sparse pool 0, 1000, 2000, ... and a refill 1, 1, 2, 2, ...:
+        # each round accepts more arrivals, emitted within the step (the
+        # second of each pair ties its just-emitted twin).  At
+        # _MAX_ROUNDS the step classifies per record instead, which is
+        # exact, so one more merge round confirms it.
+        M = 100
+        keys = np.concatenate(
+            [np.arange(M) * 1000, np.arange(2, 6 * chain + 2) // 2]
+        ).astype(np.int64)
+        log = spy_engine(monkeypatch)
+        self._assert_engines_agree(keys, M, D=2, B=chain // 2)
+        rounds = max(e[1] for e in log if e[0] == "step")
+        assert rounds >= 3
+        assert rounds == _MAX_ROUNDS + 1 if replayed else rounds < _MAX_ROUNDS
+
+    def test_epoch_flip_inside_a_refill(self, monkeypatch):
+        # Reverse input rejects every arrival: the 10-record epoch drains
+        # after a full 8-record refill and 2 records of the next one.
+        keys = np.arange(200, dtype=np.int64)[::-1].copy()
+        log = spy_engine(monkeypatch)
+        self._assert_engines_agree(keys, 10, D=2, B=4)
+        kinds = [e[0] for e in log]
+        assert any(
+            kinds[i - 1 : i + 2] == ["step", "promote", "step"]
+            for i in range(1, len(kinds) - 1)
+        )
 
     def test_block_engine_is_default(self):
         system, keys, infile = make_input(n=400)

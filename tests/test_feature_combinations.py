@@ -83,7 +83,11 @@ class TestStackedFeatures:
         assert [lookup[k] for k in out_k.tolist()] == out_p.tolist()
 
     def test_staggered_layout_with_replacement_selection(self, rng):
-        """§8 deterministic placement composes with §2.1 run formation."""
+        """STAGGERED placement composes with §2.1 run formation.
+
+        Replacement selection does not know its run count while it
+        writes runs, so STAGGERED places them round-robin there.
+        """
         cfg = SRMConfig.from_k(2, 4, 8)
         keys = rng.permutation(3000)
         out, res = srm_sort(
